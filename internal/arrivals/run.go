@@ -185,7 +185,7 @@ func AdmitAttempt(sys *system.System, tr *trace.ArrivalTrace, i int, onDone func
 	if err != nil {
 		return err
 	}
-	p, err := proc.NewWithContext(sys, ctx, tr.Apps[a.App])
+	p, err := proc.NewOneShot(sys, ctx, tr.Apps[a.App])
 	if err != nil {
 		// Give the slot back so a refused admission leaves the node untouched
 		// and the caller may retry elsewhere.

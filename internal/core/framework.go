@@ -34,8 +34,10 @@ type Framework struct {
 	// pendq holds, per context id, the FIFO of launch commands whose head
 	// occupies that context's command buffer. Entries persist (with an empty
 	// queue) once a context has submitted, so the queue's backing array is
-	// reused across submissions.
-	pendq map[int]*ctxPending
+	// reused across submissions; ReleaseContext moves a retired context's
+	// entry to spareq, from which a new context's first Submit takes it.
+	pendq  map[int]*ctxPending
+	spareq []*ctxPending
 	// pendingCtxs keeps contexts with pending commands in the arrival order
 	// of their current head. It stays sorted by head-enqueue time (stable on
 	// ties), so insertion is a binary search and removal is O(1) lookup via
@@ -43,6 +45,8 @@ type Framework struct {
 	pendingCtxs []*ctxPending
 	// ctxScratch is the reusable buffer PendingContexts copies ids into.
 	ctxScratch []int
+	// smScratch is the reusable buffer RunningSMsOf copies SM ids into.
+	smScratch []int
 	// tbScratch is the reusable buffer ResidentTBs copies snapshots into.
 	tbScratch []ResidentTBInfo
 
@@ -218,7 +222,13 @@ func (fw *Framework) Submit(cmd *LaunchCmd) error {
 	ctxID := cmd.Ctx.ID
 	cp := fw.pendq[ctxID]
 	if cp == nil {
-		cp = &ctxPending{id: ctxID, pos: -1}
+		if n := len(fw.spareq); n > 0 {
+			cp = fw.spareq[n-1]
+			fw.spareq = fw.spareq[:n-1]
+			cp.id = ctxID
+		} else {
+			cp = &ctxPending{id: ctxID, pos: -1}
+		}
 		fw.pendq[ctxID] = cp
 	}
 	wasEmpty := cp.empty()
@@ -262,13 +272,14 @@ func (fw *Framework) occupancy(spec *trace.KernelSpec) (occInfo, error) {
 }
 
 // ReleaseContext retires a GPU context from the framework: its (empty)
-// command-buffer queue is dropped so the per-context bookkeeping does not
-// grow with the lifetime total of an open system's admitted processes. It is
-// an error to release a context that still has pending commands or active
-// kernels; context ids are never reused, so per-SM installed-context state
-// needs no scrubbing.
+// command-buffer queue leaves pendq, so the per-context bookkeeping does not
+// grow with the lifetime total of an open system's admitted processes, and
+// is kept for the next context that submits. It is an error to release a
+// context that still has pending commands or active kernels; context ids are
+// never reused, so per-SM installed-context state needs no scrubbing.
 func (fw *Framework) ReleaseContext(ctxID int) error {
-	if cp := fw.pendq[ctxID]; cp != nil && !cp.empty() {
+	cp := fw.pendq[ctxID]
+	if cp != nil && !cp.empty() {
 		return fmt.Errorf("core: releasing context %d with %d pending commands", ctxID, len(cp.cmds)-cp.head)
 	}
 	for _, id := range fw.active {
@@ -276,7 +287,10 @@ func (fw *Framework) ReleaseContext(ctxID int) error {
 			return fmt.Errorf("core: releasing context %d with active kernel %s", ctxID, k.Spec().Name)
 		}
 	}
-	delete(fw.pendq, ctxID)
+	if cp != nil {
+		delete(fw.pendq, ctxID)
+		fw.spareq = append(fw.spareq, cp)
+	}
 	return nil
 }
 
@@ -515,15 +529,27 @@ func (fw *Framework) FirstIdleSM() int {
 
 // RunningSMsOf returns the SMs currently running on behalf of kernel k
 // (state Running; reserved SMs are excluded since they already changed
-// ownership).
+// ownership). The returned slice is reused across calls: it is only valid
+// until the next call.
 func (fw *Framework) RunningSMsOf(k KernelID) []int {
-	var out []int
+	fw.smScratch = fw.smScratch[:0]
 	for _, s := range fw.sms {
 		if s.state == SMRunning && s.ksr == k {
-			out = append(out, s.id)
+			fw.smScratch = append(fw.smScratch, s.id)
 		}
 	}
-	return out
+	return fw.smScratch
+}
+
+// RunningSMCount returns the number of SMs RunningSMsOf would list.
+func (fw *Framework) RunningSMCount(k KernelID) int {
+	n := 0
+	for _, s := range fw.sms {
+		if s.state == SMRunning && s.ksr == k {
+			n++
+		}
+	}
+	return n
 }
 
 // SMsHeldBy returns the number of SMs attached to kernel k: running for it

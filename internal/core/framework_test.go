@@ -927,6 +927,12 @@ func TestReadAccessors(t *testing.T) {
 	if got := fw.RunningSMsOf(kid); len(got) != 2 {
 		t.Errorf("RunningSMsOf = %v, want 2 SMs", got)
 	}
+	if n := fw.RunningSMCount(kid); n != 2 {
+		t.Errorf("RunningSMCount = %d, want 2", n)
+	}
+	if a := testing.AllocsPerRun(100, func() { fw.RunningSMsOf(kid) }); a != 0 {
+		t.Errorf("RunningSMsOf allocates %v times per call, want 0", a)
+	}
 	if fw.SMsHeldBy(kid) != 2 {
 		t.Errorf("SMsHeldBy = %d, want 2", fw.SMsHeldBy(kid))
 	}
@@ -937,5 +943,54 @@ func TestReadAccessors(t *testing.T) {
 		t.Error("stale kernel holds SMs")
 	}
 	for eng.Step() {
+	}
+}
+
+func TestReleaseContextRecyclesCommandBuffer(t *testing.T) {
+	pol := &scriptPolicy{}
+	admit := false
+	pol.pickPending = func(fw *Framework) int {
+		if ctxs := fw.PendingContexts(); admit && len(ctxs) > 0 {
+			return ctxs[0]
+		}
+		return -1
+	}
+	eng, fw, tbl := testFW(t, pol, drainMech{})
+	a := mustCtx(t, tbl, "a", 0)
+	submit(t, fw, a, kernelOcc("a1", 2, 5, 1))
+	submit(t, fw, a, kernelOcc("a2", 2, 5, 1))
+	if err := fw.ReleaseContext(a.ID); err == nil {
+		t.Fatal("released a context with pending commands")
+	}
+	admit = true
+	submit(t, fw, a, kernelOcc("a3", 2, 5, 1))
+	if err := fw.ReleaseContext(a.ID); err == nil {
+		t.Fatal("released a context with active kernels")
+	}
+	runAndValidate(t, eng, fw)
+	if err := fw.ReleaseContext(a.ID); err != nil {
+		t.Fatal(err)
+	}
+	if len(fw.pendq) != 0 || len(fw.spareq) != 1 {
+		t.Fatalf("after release: %d buffer queues live, %d spare; want 0, 1", len(fw.pendq), len(fw.spareq))
+	}
+	// The next context reuses a's (empty) buffer queue under its own id.
+	b := mustCtx(t, tbl, "b", 0)
+	admit = false
+	pb := submit(t, fw, b, kernelOcc("b1", 2, 5, 1))
+	if len(fw.spareq) != 0 {
+		t.Error("submit allocated a buffer queue while a spare one was free")
+	}
+	if got := fw.PendingContexts(); len(got) != 1 || got[0] != b.ID {
+		t.Errorf("PendingContexts = %v, want [%d]", got, b.ID)
+	}
+	if fw.PendingDepth(a.ID) != 0 || fw.PendingHead(a.ID) != nil || fw.PendingHead(b.ID) != pb.cmd {
+		t.Error("recycled buffer queue mixes up the retired and the new context")
+	}
+	admit = true
+	fw.tryActivate()
+	runAndValidate(t, eng, fw)
+	if !pb.done || fw.Stats().KernelsFinished != 4 {
+		t.Fatalf("b1 done=%v, %d kernels finished, want 4", pb.done, fw.Stats().KernelsFinished)
 	}
 }

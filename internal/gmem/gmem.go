@@ -6,6 +6,7 @@ package gmem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -22,6 +23,7 @@ type Manager struct {
 	free  []span // sorted by base
 	inUse map[PAddr]alloc
 	owned map[int]int64
+	bases []PAddr // FreeOwner's reusable scratch
 }
 
 type span struct {
@@ -106,13 +108,14 @@ func (m *Manager) Free(base PAddr) error {
 // FreeOwner releases every allocation belonging to owner and returns the
 // number of bytes freed. Used when a GPU context is destroyed.
 func (m *Manager) FreeOwner(owner int) int64 {
-	var bases []PAddr
+	bases := m.bases[:0]
 	for base, a := range m.inUse {
 		if a.owner == owner {
 			bases = append(bases, base)
 		}
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
+	slices.Sort(bases)
+	m.bases = bases
 	var freed int64
 	for _, base := range bases {
 		freed += m.inUse[base].size

@@ -35,10 +35,18 @@ const DefaultContextCapacity = 64
 // ContextTable is the execution engine's table of active contexts (§3.1).
 // The SM driver reads it during SM setup to install per-context state (the
 // context id and base page-table registers) into the SM.
+//
+// Destroyed contexts' (empty) page tables go onto a free list that Create
+// draws from, so admitting a context per request stops allocating page
+// tables once the table is warm. Context ids still come from a monotonic
+// counter and are never reused: a recycled page table takes the new id as
+// its ASID, so TLB entries, SM context-id registers and anything else keyed
+// by a retired id can never match the new context.
 type ContextTable struct {
 	capacity int
 	byID     map[int]*Context
 	nextID   int
+	spare    []*mmu.PageTable // page tables of destroyed contexts, all empty
 }
 
 // NewContextTable returns a context table with the given capacity.
@@ -55,12 +63,22 @@ func (t *ContextTable) Create(name string, priority int) (*Context, error) {
 		return nil, fmt.Errorf("gpu: context table full (%d contexts)", t.capacity)
 	}
 	id := t.nextID
+	var pt *mmu.PageTable
+	if n := len(t.spare); n > 0 {
+		pt = t.spare[n-1]
+		if err := pt.Reset(id); err != nil {
+			return nil, err
+		}
+		t.spare = t.spare[:n-1]
+	} else {
+		pt = mmu.NewPageTable(id)
+	}
 	t.nextID++
 	ctx := &Context{
 		ID:        id,
 		Name:      name,
 		Priority:  priority,
-		PageTable: mmu.NewPageTable(id),
+		PageTable: pt,
 	}
 	t.byID[id] = ctx
 	return ctx, nil
@@ -69,12 +87,21 @@ func (t *ContextTable) Create(name string, priority int) (*Context, error) {
 // Lookup returns the context with the given id, or nil.
 func (t *ContextTable) Lookup(id int) *Context { return t.byID[id] }
 
-// Destroy removes the context with the given id.
+// Destroy removes the context with the given id and recycles its page
+// table, which must be empty: destroying a context that still maps a page is
+// an error and leaves the context in place. The retired context loses its
+// page table, so a stale reference cannot translate through the recycled one.
 func (t *ContextTable) Destroy(id int) error {
-	if _, ok := t.byID[id]; !ok {
+	ctx, ok := t.byID[id]
+	if !ok {
 		return fmt.Errorf("gpu: destroying unknown context %d", id)
 	}
+	if n := ctx.PageTable.Mapped(); n != 0 {
+		return fmt.Errorf("gpu: destroying context %d with %d pages still mapped", id, n)
+	}
 	delete(t.byID, id)
+	t.spare = append(t.spare, ctx.PageTable)
+	ctx.PageTable = nil
 	return nil
 }
 

@@ -3,6 +3,7 @@ package gpu
 import (
 	"testing"
 
+	"repro/internal/mmu"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -202,5 +203,72 @@ func TestContextTable(t *testing.T) {
 	}
 	if tbl.Len() != 1 || tbl.Capacity() != 2 {
 		t.Errorf("Len=%d Cap=%d", tbl.Len(), tbl.Capacity())
+	}
+}
+
+func TestContextTableRecyclesPageTables(t *testing.T) {
+	tbl := NewContextTable(4)
+	a, err := tbl.Create("a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, err := a.PageTable.AllocRegion(0x100000, 3*mmu.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An SM's TLB caches a's translation.
+	tlb := mmu.NewTLB(8)
+	if _, err := tlb.Lookup(a.PageTable, va); err != nil {
+		t.Fatal(err)
+	}
+	// A context that still maps a page cannot retire.
+	if err := tbl.Destroy(a.ID); err == nil {
+		t.Fatal("destroyed a context with live mappings")
+	}
+	if tbl.Lookup(a.ID) != a || a.PageTable == nil {
+		t.Fatal("failed Destroy changed the table")
+	}
+	pt := a.PageTable
+	if err := pt.Unmap(va, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Destroy(a.ID); err != nil {
+		t.Fatal(err)
+	}
+	if a.PageTable != nil {
+		t.Error("retired context keeps its recycled page table")
+	}
+
+	b, err := tbl.Create("b", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.PageTable != pt {
+		t.Fatal("page table not recycled")
+	}
+	if b.ID == a.ID || b.PageTable.ASID != b.ID {
+		t.Fatalf("recycled context id %d, ASID %d (retired id %d)", b.ID, b.PageTable.ASID, a.ID)
+	}
+	if n := b.PageTable.Mapped(); n != 0 {
+		t.Fatalf("recycled page table maps %d pages", n)
+	}
+	if _, err := b.PageTable.Translate(va); err == nil {
+		t.Error("retired context's address translates in the new context")
+	}
+	hits := tlb.Hits
+	if _, err := tlb.Lookup(b.PageTable, va); err == nil || tlb.Hits != hits {
+		t.Error("TLB served the retired context's translation to the new one")
+	}
+	// The new context's own mapping of the same address resolves to its own
+	// physical page, not the TLB's stale entry.
+	vb, err := b.PageTable.AllocRegion(0x900000, mmu.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vb != va {
+		t.Fatalf("new address space starts at %#x, want %#x", uint64(vb), uint64(va))
+	}
+	if pa, err := tlb.Lookup(b.PageTable, vb); err != nil || pa != 0x900000 {
+		t.Errorf("TLB Lookup = %#x, %v; want 0x900000", uint64(pa), err)
 	}
 }

@@ -30,13 +30,17 @@ const (
 
 // PageTable is a two-level per-context page table. Its "root" stands in for
 // the physical location named by the base page table register of §3.1.
-// Level-2 tables are dense arrays with a presence bitmap — like the real
-// structure, and unlike a hash map it makes the per-activation save-area
-// map/unmap traffic a handful of array stores with no allocation.
+// Level-2 tables are dense arrays with a presence bitmap, like the real
+// structure. A level-2 table that empties leaves the root but is kept on the
+// table's spare list, and Reset readies an empty table for a new address
+// space, so once a table is warm the per-activation save-area map/unmap
+// traffic is a handful of array stores with no allocation — also across the
+// contexts that reuse it.
 type PageTable struct {
-	ASID int // address-space identifier (the GPU context id)
-	root []*ptLevel2
-	next VAddr // simple growing virtual address space
+	ASID  int // address-space identifier (the GPU context id)
+	root  []*ptLevel2
+	spare []*ptLevel2 // emptied level-2 tables, reused before allocating
+	next  VAddr       // simple growing virtual address space
 }
 
 const l2Entries = 1 << level2Bits
@@ -59,15 +63,34 @@ func NewPageTable(asid int) *PageTable {
 	}
 }
 
+// Reset readies an empty page table for a new address space: it takes the
+// new ASID and restarts the virtual address space, keeping its level-2
+// tables for reuse. It fails if any page is still mapped, so a recycled
+// table can never carry another context's translations.
+func (pt *PageTable) Reset(asid int) error {
+	if n := pt.Mapped(); n != 0 {
+		return fmt.Errorf("mmu: resetting asid %d with %d pages still mapped", pt.ASID, n)
+	}
+	pt.ASID = asid
+	pt.root = pt.root[:0]
+	pt.next = PageSize
+	return nil
+}
+
 // level2 returns the level-2 table for an L1 index, growing the root and
-// creating the table as needed.
+// installing a table (a spare one if any) as needed.
 func (pt *PageTable) level2(l1 uint64) *ptLevel2 {
 	for uint64(len(pt.root)) <= l1 {
 		pt.root = append(pt.root, nil)
 	}
 	tbl := pt.root[l1]
 	if tbl == nil {
-		tbl = &ptLevel2{}
+		if n := len(pt.spare); n > 0 {
+			tbl = pt.spare[n-1]
+			pt.spare = pt.spare[:n-1]
+		} else {
+			tbl = &ptLevel2{}
+		}
 		pt.root[l1] = tbl
 	}
 	return tbl
@@ -114,7 +137,10 @@ func (pt *PageTable) Unmap(va VAddr, npages int) error {
 		tbl.clear(l2)
 		tbl.count--
 		if tbl.count == 0 {
+			// Every entry of an empty table is clear: it can serve any L1
+			// index as is.
 			pt.root[l1] = nil
+			pt.spare = append(pt.spare, tbl)
 		}
 	}
 	return nil

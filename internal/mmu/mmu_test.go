@@ -245,3 +245,79 @@ func TestPageTableIsolation(t *testing.T) {
 		t.Fatalf("isolation violated: %#x %#x", uint64(pa), uint64(pb))
 	}
 }
+
+func TestWarmMapUnmapDoesNotAllocate(t *testing.T) {
+	pt := NewPageTable(1)
+	// 1500 pages straddle two level-2 tables.
+	const npages = 1500
+	cycle := func() {
+		if err := pt.Map(PageSize, 0, npages); err != nil {
+			t.Fatal(err)
+		}
+		if err := pt.Unmap(PageSize, npages); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm: builds the root and both level-2 tables
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("warm map/unmap cycle allocates %v times, want 0", n)
+	}
+	if pt.Mapped() != 0 {
+		t.Fatalf("Mapped = %d after unmapping everything", pt.Mapped())
+	}
+	// A table reset for a new address space stays allocation-free too.
+	asid := 1
+	if n := testing.AllocsPerRun(100, func() {
+		asid++
+		if err := pt.Reset(asid); err != nil {
+			t.Fatal(err)
+		}
+		va, err := pt.AllocRegion(0, npages*PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pt.Unmap(va, npages); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("reset/map/unmap cycle allocates %v times, want 0", n)
+	}
+}
+
+func TestResetRequiresEmptyTable(t *testing.T) {
+	pt := NewPageTable(1)
+	va, err := pt.AllocRegion(0x100000, 2*PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Reset(2); err == nil {
+		t.Fatal("Reset of a table with live mappings succeeded")
+	}
+	if pt.ASID != 1 || pt.Mapped() != 2 {
+		t.Fatalf("failed Reset changed the table: asid %d, %d mapped", pt.ASID, pt.Mapped())
+	}
+	if err := pt.Unmap(va, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Reset(2); err != nil {
+		t.Fatal(err)
+	}
+	if pt.ASID != 2 {
+		t.Errorf("ASID = %d after Reset(2)", pt.ASID)
+	}
+	if _, err := pt.Translate(va); err == nil {
+		t.Error("old address translates after Reset")
+	}
+	// The virtual address space restarts: the first region lands where the
+	// previous address space's did, mapped to the new physical address.
+	va2, err := pt.AllocRegion(0x900000, PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if va2 != va {
+		t.Errorf("first region after Reset at %#x, want %#x", uint64(va2), uint64(va))
+	}
+	if pa, err := pt.Translate(va2); err != nil || pa != 0x900000 {
+		t.Errorf("Translate = %#x, %v; want 0x900000", uint64(pa), err)
+	}
+}

@@ -185,7 +185,7 @@ func (p *DSS) minTokens(fw *core.Framework, exclude core.KernelID) *core.KSR {
 		if id == exclude {
 			continue
 		}
-		if len(fw.RunningSMsOf(id)) == 0 {
+		if fw.RunningSMCount(id) == 0 {
 			continue
 		}
 		k := fw.Kernel(id)

@@ -61,6 +61,7 @@ type Process struct {
 	firstIssue  sim.Time // first TB issue of the current run; -1 until seen
 	runs        []RunRecord
 	started     bool
+	oneShot     bool // recycle onto sys's free list after the run (NewOneShot)
 
 	// Continuations allocated once per process: the replay loop schedules
 	// them thousands of times, so per-event closures would dominate the
@@ -142,6 +143,43 @@ func NewWithContext(sys *system.System, ctx *gpu.Context, app *trace.App) (*Proc
 		return nil, fmt.Errorf("proc: nil context")
 	}
 	return newProcess(sys, ctx, app), nil
+}
+
+// NewOneShot is NewWithContext for a process that replays its app once and
+// is then recycled: when the run completes and OnRunComplete has returned,
+// the process goes onto sys's free list, and a later NewOneShot on sys
+// reuses it — with its streams, queue slices and continuations — instead of
+// allocating. The caller must not touch the process, or the slice Runs
+// returned, after OnRunComplete; a process set to Loop is never recycled.
+func NewOneShot(sys *system.System, ctx *gpu.Context, app *trace.App) (*Process, error) {
+	if err := app.Validate(); err != nil {
+		return nil, err
+	}
+	if ctx == nil {
+		return nil, fmt.Errorf("proc: nil context")
+	}
+	if x := sys.ReuseProcess(); x != nil {
+		p := x.(*Process)
+		p.ctx, p.app = ctx, app
+		return p, nil
+	}
+	p := newProcess(sys, ctx, app)
+	p.oneShot = true
+	return p, nil
+}
+
+// recycle resets a one-shot process whose run has completed and puts it on
+// its machine's free list. Every stream is idle with an empty queue (the run
+// drained all outstanding commands), so streams and continuations carry over
+// as they are.
+func (p *Process) recycle() {
+	p.ctx, p.app, p.OnRunComplete = nil, nil, nil
+	p.RestartGap = 0
+	p.opIdx = 0
+	p.firstIssue = -1
+	p.runs = p.runs[:0]
+	p.started = false
+	p.sys.KeepProcess(p)
 }
 
 // Ctx returns the process's GPU context.
@@ -228,6 +266,11 @@ func (p *Process) finishRun() {
 		p.OnRunComplete(p, rec)
 	}
 	if !p.Loop {
+		// Every caller of finishRun returns straight after it, so nothing
+		// touches the process once it is recycled.
+		if p.oneShot {
+			p.recycle()
+		}
 		return
 	}
 	p.opIdx = 0

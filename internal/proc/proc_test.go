@@ -303,3 +303,110 @@ func TestIssueOverheadAccumulates(t *testing.T) {
 		t.Errorf("run ended before the CPU could have issued all commands: %v < %v", end, cpuDoneBy)
 	}
 }
+
+// twoStreamApp issues on streams 1 and 2 (simpleApp uses stream 0 only), so a
+// recycled process replays it with a stale idle stream in its table.
+func twoStreamApp(name string) *trace.App {
+	app := simpleApp(name)
+	app.Ops = []trace.Op{
+		{Kind: trace.OpH2D, Bytes: 32 * 1024, Stream: 1},
+		{Kind: trace.OpLaunch, Kernel: 0, Stream: 2},
+		{Kind: trace.OpLaunch, Kernel: 0, Stream: 1},
+		{Kind: trace.OpCPU, Dur: sim.Microseconds(7)},
+		{Kind: trace.OpD2H, Bytes: 8 * 1024, Stream: 2},
+	}
+	return app
+}
+
+// runOnce replays app once in a fresh context on sys, through a one-shot
+// process when oneShot is set, and returns the process and its run record.
+func runOnce(t *testing.T, sys *system.System, app *trace.App, oneShot bool) (*Process, RunRecord) {
+	t.Helper()
+	ctx, err := sys.NewContext(app.Name, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newProc := NewWithContext
+	if oneShot {
+		newProc = NewOneShot
+	}
+	p, err := newProc(sys, ctx, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []RunRecord
+	p.OnRunComplete = func(_ *Process, rec RunRecord) {
+		recs = append(recs, rec)
+		if err := sys.RetireContext(ctx.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Start(sys.Eng.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("%s completed %d runs, want 1", app.Name, len(recs))
+	}
+	return p, recs[0]
+}
+
+func TestOneShotProcessRecycledMatchesFresh(t *testing.T) {
+	// The same history on two machines: app a, then app b. One machine runs
+	// both through fresh processes, the other through one-shot processes, so
+	// b replays on the process a retired.
+	fresh, recycled := testSystem(t), testSystem(t)
+	_, wantA := runOnce(t, fresh, simpleApp("a"), false)
+	pa, gotA := runOnce(t, recycled, simpleApp("a"), true)
+	_, wantB := runOnce(t, fresh, twoStreamApp("b"), false)
+	pb, gotB := runOnce(t, recycled, twoStreamApp("b"), true)
+	if pb != pa {
+		t.Fatal("second one-shot process was not recycled from the first")
+	}
+	if gotA != wantA || gotB != wantB {
+		t.Errorf("one-shot records %+v, %+v; fresh %+v, %+v", gotA, gotB, wantA, wantB)
+	}
+	if fresh.Eng.Now() != recycled.Eng.Now() {
+		t.Errorf("clocks diverge: fresh %v, recycled %v", fresh.Eng.Now(), recycled.Eng.Now())
+	}
+	// A third one-shot replays a again on the same process and matches too.
+	pc, gotC := runOnce(t, recycled, simpleApp("a"), true)
+	_, wantC := runOnce(t, fresh, simpleApp("a"), false)
+	if pc != pa || gotC != wantC {
+		t.Errorf("third run: recycled=%v record %+v, want %+v", pc == pa, gotC, wantC)
+	}
+}
+
+func TestLoopingOneShotIsNotRecycled(t *testing.T) {
+	sys := testSystem(t)
+	ctx, err := sys.NewContext("loop", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewOneShot(sys, ctx, simpleApp("loop"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Loop = true
+	p.OnRunComplete = func(p *Process, rec RunRecord) {
+		if rec.Run == 2 {
+			p.Loop = false
+		}
+	}
+	if err := p.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Runs 0 and 1 looped; run 2 ended the loop, so the process was
+	// recycled only then.
+	if sys.ReuseProcess() != p {
+		t.Fatal("one-shot process not on the free list after its final run")
+	}
+	if sys.ReuseProcess() != nil {
+		t.Fatal("process recycled more than once")
+	}
+}

@@ -59,6 +59,11 @@ type System struct {
 	CPU      *cpu.Model
 	Contexts *gpu.ContextTable
 	Mem      *gmem.Manager
+
+	// spareProcs is the machine's free list of retired one-shot processes
+	// (proc.NewOneShot). internal/proc imports this package, so the list
+	// holds them as any.
+	spareProcs []any
 }
 
 // New assembles a machine running the given policy and mechanism.
@@ -113,11 +118,30 @@ func (s *System) NewContext(name string, priority int) (*gpu.Context, error) {
 
 // RetireContext removes a finished process's GPU context from the machine:
 // the execution engine drops its command-buffer bookkeeping and the context
-// table frees the slot. The context must be quiescent (no pending commands,
-// no active kernels) — retiring mid-flight is a caller bug.
+// table frees the slot, both keeping the storage for the next context. The
+// context must be quiescent (no pending commands, no active kernels, no
+// mapped pages) — retiring mid-flight is a caller bug.
 func (s *System) RetireContext(id int) error {
 	if err := s.Exec.ReleaseContext(id); err != nil {
 		return err
 	}
 	return s.Contexts.Destroy(id)
+}
+
+// KeepProcess puts a retired process on the machine's free list. Like the
+// context table's page tables and the execution engine's command-buffer
+// queues, the list is node-local: parallel windows never share it, and it
+// goes away with the machine.
+func (s *System) KeepProcess(p any) { s.spareProcs = append(s.spareProcs, p) }
+
+// ReuseProcess takes a retired process off the free list, or returns nil.
+func (s *System) ReuseProcess() any {
+	n := len(s.spareProcs)
+	if n == 0 {
+		return nil
+	}
+	p := s.spareProcs[n-1]
+	s.spareProcs[n-1] = nil
+	s.spareProcs = s.spareProcs[:n-1]
+	return p
 }

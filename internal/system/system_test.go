@@ -104,3 +104,35 @@ func TestMechanismWiring(t *testing.T) {
 		t.Error("mechanism not wired through")
 	}
 }
+
+func TestRetireContextRecyclesPageTable(t *testing.T) {
+	sys, err := New(DefaultConfig(), policy.NewFCFS(), preempt.Drain{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := sys.NewContext("a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := a.PageTable
+	va, err := pt.AllocRegion(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RetireContext(a.ID); err == nil {
+		t.Fatal("retired a context with a live mapping")
+	}
+	if err := pt.Unmap(va, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RetireContext(a.ID); err != nil {
+		t.Fatal(err)
+	}
+	b, err := sys.NewContext("b", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.PageTable != pt || b.ID == a.ID || pt.ASID != b.ID {
+		t.Errorf("context %d did not reuse retired context %d's page table under a fresh ASID", b.ID, a.ID)
+	}
+}
