@@ -459,7 +459,9 @@ func benchClusterOpts(b *testing.B) Options {
 // public facade on a million-arrival, 64-GPU fleet. The unprefixed lines
 // dispatch round-robin (load-oblivious, so the windowed executor pre-shards
 // the whole stream): lockstep is the event-by-event reference; window=N runs
-// the parallel-in-time executor on N workers. The jsq- lines dispatch
+// the parallel-in-time executor on N workers, and lockstep plus window=1/2/4/8
+// form the executor scaling curve (window=1 against lockstep is the window
+// protocol alone; the wider lines add workers on top). The jsq- lines dispatch
 // join-shortest-queue, where every placement reads fleet load, so the
 // windowed executor leans on the PCIe latency-floor lookahead instead of
 // pre-sharding — the comparison that prices serial dispatch decisions.
@@ -475,6 +477,8 @@ func BenchmarkRunCluster(b *testing.B) {
 	}{
 		{"lockstep", DispatchRoundRobin, 0},
 		{"window=1", DispatchRoundRobin, 1},
+		{"window=2", DispatchRoundRobin, 2},
+		{"window=4", DispatchRoundRobin, 4},
 		{"window=8", DispatchRoundRobin, 8},
 		{"jsq-lockstep", DispatchJSQ, 0},
 		{"jsq-window=8", DispatchJSQ, 8},

@@ -99,10 +99,12 @@ func BenchmarkFailover(b *testing.B) {
 // BenchmarkLockstepMerge isolates the cluster's merge overhead from the
 // simulation itself: the same stream on 1 node through the cluster layer
 // (lockstep loop + dispatcher + per-node accounts) vs progressively wider
-// fleets, all under round-robin.
+// fleets, all under round-robin. The 16- and 64-node lines expose how the
+// per-event cost of finding the next node event grows with fleet width;
+// nodes=64 is gated by the benchcheck CI job via bench_baseline.json.
 func BenchmarkLockstepMerge(b *testing.B) {
 	tr := testTrace(b, 40000, 17)
-	for _, nodes := range []int{1, 2, 4, 8} {
+	for _, nodes := range []int{1, 2, 4, 8, 16, 64} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

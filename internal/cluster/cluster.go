@@ -388,22 +388,24 @@ type Cluster struct {
 	winCounts  []uint64   // per-window scratch: per-active-node step counts
 	finTimes   []sim.Time // final-window scratch: per-active-node drain times
 
-	// nextAt/hasNext cache each node engine's next event timestamp. Node
-	// engines are isolated — an event on node i can only schedule on node i,
-	// and a dispatch touches only the chosen node — so the lockstep loop
-	// refreshes exactly one entry per event instead of re-peeking every
-	// engine.
-	nextAt  []sim.Time
-	hasNext []bool
+	// nodeQ caches each node engine's next event timestamp in a heap keyed
+	// by (time, node index). Node engines are isolated — an event on node i
+	// can only schedule on node i, and a dispatch touches only the chosen
+	// node — so the lockstep loop re-keys exactly one slot per event instead
+	// of re-peeking every engine. refresh is its only writer.
+	nodeQ nodeHeap
 }
 
-// refresh re-caches node i's next pending event time.
+// refresh re-caches node i's next pending event time; a dead node (no
+// machine) has none.
 func (c *Cluster) refresh(i int) {
-	if c.Nodes[i].Sys == nil {
-		c.nextAt[i], c.hasNext[i] = 0, false
-		return
+	if sys := c.Nodes[i].Sys; sys != nil {
+		if t, ok := sys.Eng.Peek(); ok {
+			c.nodeQ.set(i, t)
+			return
+		}
 	}
-	c.nextAt[i], c.hasNext[i] = c.Nodes[i].Sys.Eng.Peek()
+	c.nodeQ.remove(i)
 }
 
 // refreshCtl re-caches the control engine's next pending event time.
@@ -543,8 +545,7 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 		c.Nodes = append(c.Nodes, n)
 	}
 	c.addCfg, c.addScale = base, baseScale
-	c.nextAt = make([]sim.Time, len(c.Nodes))
-	c.hasNext = make([]bool, len(c.Nodes))
+	c.nodeQ.grow(len(c.Nodes))
 	c.disp.Reset(len(c.Nodes), len(tr.Classes), len(tr.Apps))
 	if wa, ok := c.disp.(WorkingSetAware); ok {
 		wa.SetWorkingSets(c.ws)
@@ -690,13 +691,7 @@ func (c *Cluster) loop() error {
 		if hasA {
 			tA = c.tr.Arrivals[c.next].At
 		}
-		ni := -1
-		var tN sim.Time
-		for i := range c.Nodes {
-			if c.hasNext[i] && (ni < 0 || c.nextAt[i] < tN) {
-				tN, ni = c.nextAt[i], i
-			}
-		}
+		ni, tN := c.nodeQ.min()
 		switch {
 		case c.ctlHas && (!hasA || c.ctlAt <= tA) && (ni < 0 || c.ctlAt <= tN):
 			if c.ctlAt > c.rc.MaxSimTime {

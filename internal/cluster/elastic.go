@@ -299,8 +299,7 @@ func (c *Cluster) scaleUp(k int, at sim.Time) {
 			return
 		}
 		c.Nodes = append(c.Nodes, n)
-		c.nextAt = append(c.nextAt, 0)
-		c.hasNext = append(c.hasNext, false)
+		c.nodeQ.grow(len(c.Nodes))
 		c.scaleUps++
 		if c.res != nil {
 			n.resLive = make(map[int]struct{})

@@ -122,7 +122,7 @@ func (c *Cluster) killNode(n *Node, at sim.Time) {
 	n.statsAcc.Accumulate(n.Sys.Exec.Stats())
 	n.busyAcc += n.Sys.Exec.Utilization(at) * float64(at)
 	n.Sys = nil
-	c.hasNext[n.Index] = false
+	c.refresh(n.Index)
 	// The memory ledger, wait queue and in-flight swap-ins die with the
 	// machine (their engine events can no longer fire); spilled bytes whose
 	// swap-in will never happen are accounted lost. The waiters themselves

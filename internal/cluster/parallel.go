@@ -133,13 +133,7 @@ func (c *Cluster) parLoop() error {
 		if hasA {
 			tA = c.tr.Arrivals[c.next].At
 		}
-		ni := -1
-		var tN sim.Time
-		for i := range c.Nodes {
-			if c.hasNext[i] && (ni < 0 || c.nextAt[i] < tN) {
-				tN, ni = c.nextAt[i], i
-			}
-		}
+		ni, tN := c.nodeQ.min()
 		switch {
 		case c.ctlHas && (!hasA || c.ctlAt <= tA) && (ni < 0 || c.ctlAt <= tN):
 			if c.ctlAt > c.rc.MaxSimTime {
@@ -227,7 +221,7 @@ func (c *Cluster) runLookahead(bound sim.Time) (uint64, bool) {
 	}
 	active := c.winActive[:0]
 	for i, n := range c.Nodes {
-		if c.hasNext[i] && c.nextAt[i] < bound {
+		if c.nodeQ.before(i, bound) {
 			active = append(active, n)
 		}
 	}
@@ -378,7 +372,7 @@ func (c *Cluster) preShard(bound sim.Time) {
 func (c *Cluster) runWindow(bound sim.Time, final bool) uint64 {
 	active := c.winActive[:0]
 	for i, n := range c.Nodes {
-		if (c.hasNext[i] && c.nextAt[i] < bound) || len(n.shard) > 0 {
+		if c.nodeQ.before(i, bound) || len(n.shard) > 0 {
 			active = append(active, n)
 		}
 	}
