@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -57,22 +58,10 @@ func DispatchKinds() []DispatchKind {
 }
 
 // ClusterNodeType describes one slice of a heterogeneous fleet: Count GPUs
-// sharing hardware overrides of the base machine. Zero-valued fields keep the
-// base value.
-type ClusterNodeType struct {
-	// Count is how many GPUs of this type the fleet starts with.
-	Count int
-	// SMs overrides the GPU's SM count (0 = base machine).
-	SMs int
-	// PCIeGen overrides the PCIe generation, 1..5; the base machine's
-	// bandwidth is generation 2 and each generation doubles it (0 = base).
-	PCIeGen int
-	// SlowFactor multiplies the type's service time (0 = nominal speed).
-	SlowFactor float64
-	// HBMBytes overrides the type's device-memory capacity (0 = the base
-	// machine's, which Options.HBM may itself override).
-	HBMBytes int64
-}
+// sharing hardware overrides of the base machine (SMs, PCIeGen, SlowFactor,
+// HBMBytes, where HBMBytes wins over Options.HBM). Zero-valued fields keep
+// the base value.
+type ClusterNodeType = cluster.NodeType
 
 // AutoscalePolicy configures RunCluster's step autoscaler: every Interval it
 // inspects the watched class's rolling window (completions since the last
@@ -82,23 +71,25 @@ type ClusterNodeType struct {
 // that signal.
 type AutoscalePolicy struct {
 	// Interval is the decision period. Default 250µs.
-	Interval time.Duration
+	Interval time.Duration `json:"interval,omitempty"`
 	// Cooldown is the minimum time between scale actions. Default Interval.
-	Cooldown time.Duration
+	Cooldown time.Duration `json:"cooldown,omitempty"`
 	// Min and Max bound the Up-GPU count. Defaults 1 and the cluster's
 	// MaxNodes.
-	Min, Max int
+	Min int `json:"min,omitempty"`
+	Max int `json:"max,omitempty"`
 	// Step is the GPU-count delta per action. Default 1.
-	Step int
+	Step int `json:"step,omitempty"`
 	// Class is the arrival-class index the latency thresholds watch.
-	Class int
+	Class int `json:"class,omitempty"`
 	// HighP99 scales up when the window completion-latency p99 exceeds it.
-	HighP99 time.Duration
+	HighP99 time.Duration `json:"high_p99,omitempty"`
 	// HighMiss scales up when the window deadline-miss fraction exceeds it.
-	HighMiss float64
+	HighMiss float64 `json:"high_miss,omitempty"`
 	// HighBacklog scales up when fleet in-flight exceeds it per Up GPU;
 	// LowBacklog scales down when fleet in-flight falls below it per Up GPU.
-	HighBacklog, LowBacklog int
+	HighBacklog int `json:"high_backlog,omitempty"`
+	LowBacklog  int `json:"low_backlog,omitempty"`
 }
 
 // FaultPlan configures RunCluster's seeded fault injector: Poisson node
@@ -106,15 +97,15 @@ type AutoscalePolicy struct {
 // after Downtime), plus per-incarnation straggler draws.
 type FaultPlan struct {
 	// Seed drives the injector; 0 derives one from Options.Seed.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// KillRate is the mean GPU kills per simulated second (0 = none).
-	KillRate float64
+	KillRate float64 `json:"kill_rate,omitempty"`
 	// Downtime is how long a killed GPU stays down. Default 500µs.
-	Downtime time.Duration
+	Downtime time.Duration `json:"downtime,omitempty"`
 	// StragglerFrac is the probability each GPU incarnation serves
 	// SlowFactor times slower (default factor 2).
-	StragglerFrac float64
-	SlowFactor    float64
+	StragglerFrac float64 `json:"straggler_frac,omitempty"`
+	SlowFactor    float64 `json:"slow_factor,omitempty"`
 }
 
 // ResilienceSpec configures RunCluster's per-request lifecycle manager:
@@ -124,86 +115,72 @@ type FaultPlan struct {
 // the plain fleet path.
 type ResilienceSpec struct {
 	// Seed drives the retry-jitter stream; 0 derives one from Options.Seed.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Timeout is the per-attempt deadline: an attempt still running Timeout
 	// after its dispatch is abandoned and the request moves to the retry
 	// policy. 0 disables timeouts.
-	Timeout time.Duration
+	Timeout time.Duration `json:"timeout,omitempty"`
 	// Retry, when non-nil, re-dispatches attempts abandoned by timeout or
 	// destroyed by a GPU kill; without it a failed request is dropped.
-	Retry *RetryPolicy
+	Retry *RetryPolicy `json:"retry,omitempty"`
 	// Hedge, when non-nil, races a backup attempt on another GPU when the
 	// first outlives the class's observed latency quantile.
-	Hedge *HedgePolicy
+	Hedge *HedgePolicy `json:"hedge,omitempty"`
 	// Breaker, when non-nil, arms a circuit breaker per GPU slot: tripped
 	// GPUs are masked from dispatch until a half-open probe succeeds.
-	Breaker *BreakerPolicy
+	Breaker *BreakerPolicy `json:"breaker,omitempty"`
 	// Shed, when non-nil, bounds per-class admission and sheds best-effort
 	// overflow before it reaches a GPU; the highest-priority class is exempt.
-	Shed *ShedPolicy
+	Shed *ShedPolicy `json:"shed,omitempty"`
 }
 
 // RetryPolicy governs re-dispatch of failed attempts.
 type RetryPolicy struct {
 	// MaxAttempts bounds attempts per request, first dispatch included
 	// (0 = unlimited — the naive retry-storm baseline).
-	MaxAttempts int
+	MaxAttempts int `json:"max_attempts,omitempty"`
 	// BackoffBase is the delay before the first retry, doubling each retry
 	// up to BackoffMax (default 64 × base). 0 retries immediately.
-	BackoffBase, BackoffMax time.Duration
+	BackoffBase time.Duration `json:"backoff_base,omitempty"`
+	BackoffMax  time.Duration `json:"backoff_max,omitempty"`
 	// JitterFrac spreads each delay uniformly over [1-JitterFrac, 1] × delay
 	// (default 0.5 when backoff is armed).
-	JitterFrac float64
+	JitterFrac float64 `json:"jitter_frac,omitempty"`
 	// Budget, when non-nil, caps fleet-wide retry volume per class; a retry
 	// with no token drops the request.
-	Budget *RetryBudget
+	Budget *RetryBudget `json:"budget,omitempty"`
 }
 
 // RetryBudget is a per-class retry token bucket: each fresh admission refills
-// Ratio tokens (capped at Tokens), each retry spends one. With Ratio 0.1 the
-// fleet amplifies offered load by at most 10% no matter how hard it fails.
-type RetryBudget struct {
-	// Tokens is the bucket capacity and starting balance. Default 10.
-	Tokens float64
-	// Ratio is the tokens refilled per fresh admission. Default 0.1.
-	Ratio float64
-}
+// Ratio tokens (capped at Tokens, default 10 and 0.1), each retry spends one.
+// With Ratio 0.1 the fleet amplifies offered load by at most 10% no matter
+// how hard it fails.
+type RetryBudget = resilience.Budget
 
-// HedgePolicy races a backup attempt for slow requests.
-type HedgePolicy struct {
-	// Quantile of observed class completion latency at which the hedge
-	// fires. Default 0.95.
-	Quantile float64
-	// MinObs is how many class completions must exist before hedging arms.
-	// Default 16.
-	MinObs int
-	// MaxHedges bounds backup attempts per request. Default 1.
-	MaxHedges int
-}
+// HedgePolicy races a backup attempt for slow requests once MinObs class
+// completions exist (default 16): it fires at the Quantile of observed class
+// completion latency (default 0.95), at most MaxHedges times per request
+// (default 1).
+type HedgePolicy = resilience.HedgePolicy
 
 // BreakerPolicy parameterizes the per-GPU circuit breaker.
 type BreakerPolicy struct {
 	// Window is the rolling outcome window. Default 500µs.
-	Window time.Duration
+	Window time.Duration `json:"window,omitempty"`
 	// ErrorRate is the windowed failure fraction that trips the breaker
 	// (given MinVolume observations). Defaults 0.5 and 8.
-	ErrorRate float64
-	MinVolume int
+	ErrorRate float64 `json:"error_rate,omitempty"`
+	MinVolume int     `json:"min_volume,omitempty"`
 	// Cooldown is how long a tripped breaker stays open before letting
 	// Probes trial requests through. Defaults Window and 1.
-	Cooldown time.Duration
-	Probes   int
+	Cooldown time.Duration `json:"cooldown,omitempty"`
+	Probes   int           `json:"probes,omitempty"`
 }
 
-// ShedPolicy is admission control: per-class live-request ceilings scaled by
-// the Up-GPU count, a bounded FIFO overflow queue, and shedding past it.
-type ShedPolicy struct {
-	// PerNode is the per-class live-request ceiling per Up GPU. Default 8.
-	PerNode int
-	// Queue is the per-class admission-queue depth; arrivals past it are
-	// shed. Default 0 (shed at the ceiling).
-	Queue int
-}
+// ShedPolicy is admission control: per-class live-request ceilings of
+// PerNode per Up GPU (default 8), a FIFO overflow queue Queue deep (default
+// 0: shed at the ceiling), and shedding past it.
+type ShedPolicy = resilience.ShedPolicy
 
 // NodeReport is one simulated GPU slot's outcome in a cluster run.
 type NodeReport struct {
@@ -311,83 +288,6 @@ func (p *AutoscalePolicy) lower() cluster.StepConfig {
 	}
 }
 
-// lower converts the public resilience spec to the internal one.
-func (p *ResilienceSpec) lower() *resilience.Spec {
-	s := &resilience.Spec{
-		Seed:    p.Seed,
-		Timeout: sim.Time(p.Timeout.Nanoseconds()),
-	}
-	if p.Retry != nil {
-		s.Retry = &resilience.RetryPolicy{
-			MaxAttempts: p.Retry.MaxAttempts,
-			BackoffBase: sim.Time(p.Retry.BackoffBase.Nanoseconds()),
-			BackoffMax:  sim.Time(p.Retry.BackoffMax.Nanoseconds()),
-			JitterFrac:  p.Retry.JitterFrac,
-		}
-		if p.Retry.Budget != nil {
-			s.Retry.Budget = &resilience.Budget{
-				Tokens: p.Retry.Budget.Tokens,
-				Ratio:  p.Retry.Budget.Ratio,
-			}
-		}
-	}
-	if p.Hedge != nil {
-		s.Hedge = &resilience.HedgePolicy{
-			Quantile:  p.Hedge.Quantile,
-			MinObs:    p.Hedge.MinObs,
-			MaxHedges: p.Hedge.MaxHedges,
-		}
-	}
-	if p.Breaker != nil {
-		s.Breaker = &resilience.BreakerPolicy{
-			Window:    sim.Time(p.Breaker.Window.Nanoseconds()),
-			ErrorRate: p.Breaker.ErrorRate,
-			MinVolume: p.Breaker.MinVolume,
-			Cooldown:  sim.Time(p.Breaker.Cooldown.Nanoseconds()),
-			Probes:    p.Breaker.Probes,
-		}
-	}
-	if p.Shed != nil {
-		s.Shed = &resilience.ShedPolicy{PerNode: p.Shed.PerNode, Queue: p.Shed.Queue}
-	}
-	return s
-}
-
-// liftResilience converts the internal resilience spec to the public one.
-func liftResilience(s *resilience.Spec) *ResilienceSpec {
-	p := &ResilienceSpec{
-		Seed:    s.Seed,
-		Timeout: time.Duration(s.Timeout),
-	}
-	if s.Retry != nil {
-		p.Retry = &RetryPolicy{
-			MaxAttempts: s.Retry.MaxAttempts,
-			BackoffBase: time.Duration(s.Retry.BackoffBase),
-			BackoffMax:  time.Duration(s.Retry.BackoffMax),
-			JitterFrac:  s.Retry.JitterFrac,
-		}
-		if s.Retry.Budget != nil {
-			p.Retry.Budget = &RetryBudget{Tokens: s.Retry.Budget.Tokens, Ratio: s.Retry.Budget.Ratio}
-		}
-	}
-	if s.Hedge != nil {
-		p.Hedge = &HedgePolicy{Quantile: s.Hedge.Quantile, MinObs: s.Hedge.MinObs, MaxHedges: s.Hedge.MaxHedges}
-	}
-	if s.Breaker != nil {
-		p.Breaker = &BreakerPolicy{
-			Window:    time.Duration(s.Breaker.Window),
-			ErrorRate: s.Breaker.ErrorRate,
-			MinVolume: s.Breaker.MinVolume,
-			Cooldown:  time.Duration(s.Breaker.Cooldown),
-			Probes:    s.Breaker.Probes,
-		}
-	}
-	if s.Shed != nil {
-		p.Shed = &ShedPolicy{PerNode: s.Shed.PerNode, Queue: s.Shed.Queue}
-	}
-	return p
-}
-
 // lower converts the public fault plan to the internal spec.
 func (p *FaultPlan) lower() *cluster.FaultSpec {
 	return &cluster.FaultSpec{
@@ -399,62 +299,130 @@ func (p *FaultPlan) lower() *cluster.FaultSpec {
 	}
 }
 
+// lower converts the public resilience spec to the internal one. The aliased
+// policies are copied, so the run never shares the caller's structs.
+func (p *ResilienceSpec) lower() *resilience.Spec {
+	s := &resilience.Spec{
+		Seed:    p.Seed,
+		Timeout: sim.Time(p.Timeout.Nanoseconds()),
+		Hedge:   clone(p.Hedge),
+		Shed:    clone(p.Shed),
+	}
+	if r := p.Retry; r != nil {
+		s.Retry = &resilience.RetryPolicy{
+			MaxAttempts: r.MaxAttempts,
+			BackoffBase: sim.Time(r.BackoffBase.Nanoseconds()),
+			BackoffMax:  sim.Time(r.BackoffMax.Nanoseconds()),
+			JitterFrac:  r.JitterFrac,
+			Budget:      clone(r.Budget),
+		}
+	}
+	if b := p.Breaker; b != nil {
+		s.Breaker = &resilience.BreakerPolicy{
+			Window:    sim.Time(b.Window.Nanoseconds()),
+			ErrorRate: b.ErrorRate,
+			MinVolume: b.MinVolume,
+			Cooldown:  sim.Time(b.Cooldown.Nanoseconds()),
+			Probes:    b.Probes,
+		}
+	}
+	return s
+}
+
+// clone returns a copy of *p, or nil for nil.
+func clone[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	return &c
+}
+
+// topology is the cluster topology file's schema: the facade's own fleet
+// types under their JSON names. Durations are integer nanoseconds.
+type topology struct {
+	// Nodes is the starting GPU count (1..cluster.MaxNodes). With NodeTypes
+	// it may be 0 (derived) or must equal their total count.
+	Nodes           int               `json:"nodes"`
+	NodeTypes       []ClusterNodeType `json:"node_types,omitempty"`
+	Dispatch        DispatchKind      `json:"dispatch,omitempty"`
+	Seed            uint64            `json:"seed,omitempty"`
+	ContextCapacity int               `json:"context_capacity,omitempty"`
+	Autoscale       *AutoscalePolicy  `json:"autoscale,omitempty"`
+	Faults          *FaultPlan        `json:"faults,omitempty"`
+	Resilience      *ResilienceSpec   `json:"resilience,omitempty"`
+}
+
+// validate checks the topology with the internal rules RunCluster applies,
+// and returns its starting GPU count.
+func (t *topology) validate() (int, error) {
+	nodes, err := cluster.FleetSize(t.Nodes, t.NodeTypes)
+	if err != nil {
+		return 0, err
+	}
+	if t.ContextCapacity < 0 {
+		return 0, fmt.Errorf("repro: negative context capacity %d", t.ContextCapacity)
+	}
+	if _, err := cluster.NewDispatcher(cluster.Kind(t.Dispatch), 1); err != nil {
+		return 0, err
+	}
+	if t.Autoscale != nil {
+		if err := t.Autoscale.lower().Validate(); err != nil {
+			return 0, err
+		}
+	}
+	if t.Faults != nil {
+		if err := t.Faults.lower().Validate(); err != nil {
+			return 0, err
+		}
+	}
+	if t.Resilience != nil {
+		if err := t.Resilience.lower().Validate(); err != nil {
+			return 0, err
+		}
+	}
+	return nodes, nil
+}
+
 // ReadClusterTopology parses a cluster topology (GPU count or heterogeneous
 // node types, dispatch policy, optional dispatch seed, per-node context
-// capacity, autoscale policy and fault plan) from JSON and applies the
-// fields it carries to a copy of the options — the file-based alternative to
-// setting Options.Nodes and friends directly. The fleet size is always
-// applied (a topology must carry it); fields absent from the file leave the
-// corresponding options untouched.
+// capacity, and the autoscale, fault and resilience plans) from JSON and
+// applies the fields it carries to a copy of the options — the file-based
+// alternative to setting Options.Nodes and friends directly. The fleet size
+// and node types are always applied (a topology must carry a size); other
+// fields absent from the file leave the corresponding options untouched.
 func ReadClusterTopology(r io.Reader, o Options) (Options, error) {
-	c, err := cluster.ReadConfig(r)
+	var t topology
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&t); err != nil {
+		return o, fmt.Errorf("repro: decoding cluster topology: %w", err)
+	}
+	nodes, err := t.validate()
 	if err != nil {
 		return o, err
 	}
-	o.Nodes = c.StartNodes()
-	o.NodeTypes = nil
-	for _, t := range c.Types() {
-		o.NodeTypes = append(o.NodeTypes, ClusterNodeType{
-			Count: t.Count, SMs: t.SMs, PCIeGen: t.PCIeGen,
-			SlowFactor: t.SlowFactor, HBMBytes: t.HBMBytes,
-		})
+	o.Nodes, o.NodeTypes = nodes, nil
+	if len(t.NodeTypes) > 0 {
+		o.NodeTypes = t.NodeTypes
 	}
-	if c.Dispatch != "" {
-		o.Dispatch = DispatchKind(c.Dispatch)
+	if t.Dispatch != "" {
+		o.Dispatch = t.Dispatch
 	}
-	if c.Seed != 0 {
-		o.DispatchSeed = c.Seed
+	if t.Seed != 0 {
+		o.DispatchSeed = t.Seed
 	}
-	if c.ContextCapacity != 0 {
-		o.ContextCapacity = c.ContextCapacity
+	if t.ContextCapacity != 0 {
+		o.ContextCapacity = t.ContextCapacity
 	}
-	if c.Autoscale != nil {
-		a := c.Autoscale
-		o.Autoscale = &AutoscalePolicy{
-			Interval:    time.Duration(a.Interval),
-			Cooldown:    time.Duration(a.Cooldown),
-			Min:         a.Min,
-			Max:         a.Max,
-			Step:        a.Step,
-			Class:       a.Class,
-			HighP99:     time.Duration(a.HighP99),
-			HighMiss:    a.HighMiss,
-			HighBacklog: a.HighBacklog,
-			LowBacklog:  a.LowBacklog,
-		}
+	if t.Autoscale != nil {
+		o.Autoscale = t.Autoscale
 	}
-	if c.Faults != nil {
-		f := c.Faults
-		o.Faults = &FaultPlan{
-			Seed:          f.Seed,
-			KillRate:      f.KillRate,
-			Downtime:      time.Duration(f.Downtime),
-			StragglerFrac: f.StragglerFrac,
-			SlowFactor:    f.SlowFactor,
-		}
+	if t.Faults != nil {
+		o.Faults = t.Faults
 	}
-	if c.Resilience != nil {
-		o.Resilience = liftResilience(c.Resilience)
+	if t.Resilience != nil {
+		o.Resilience = t.Resilience
 	}
 	return o, nil
 }
@@ -500,9 +468,9 @@ func clusterWarmth(o Options, crc cluster.RunConfig) (*cluster.Warmth, error) {
 // fleet of simulated GPUs behind the o.Dispatch placement policy. The fleet
 // starts as o.Nodes identical GPUs (or the heterogeneous o.NodeTypes) and —
 // when o.Autoscale or o.Faults is set — grows, drains, fails and recovers as
-// the run unfolds. Everything runs in deterministic lockstep (per-GPU event
-// engines plus a fleet control engine merged by timestamp), so results are
-// byte-identical across runs and worker counts. Each GPU runs its own
+// the run unfolds. Per-GPU event engines and a fleet control engine merge by
+// timestamp, so results are byte-identical across runs, executors and worker
+// counts. Each GPU runs its own
 // instance of the configured scheduling policy and preemption mechanism; a
 // completed request retires on the GPU that ran it.
 func RunCluster(o Options) (*ClusterResult, error) {
@@ -543,12 +511,7 @@ func RunCluster(o Options) (*ClusterResult, error) {
 			Parallel:   o.ParWindow,
 			HBM:        o.HBM,
 			Swap:       o.Swap,
-		}
-		for _, t := range o.NodeTypes {
-			crc.NodeTypes = append(crc.NodeTypes, cluster.NodeType{
-				Count: t.Count, SMs: t.SMs, PCIeGen: t.PCIeGen,
-				SlowFactor: t.SlowFactor, HBMBytes: t.HBMBytes,
-			})
+			NodeTypes:  o.NodeTypes,
 		}
 		if o.Autoscale != nil {
 			asc, err := cluster.NewStepAutoscaler(o.Autoscale.lower())

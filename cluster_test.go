@@ -176,3 +176,75 @@ func TestReadClusterTopology(t *testing.T) {
 		t.Error("malformed JSON accepted")
 	}
 }
+
+// TestClusterTopologyMatchesOptions runs a topology that sets every stanza
+// twice, read from its JSON file and spelled as Options in Go, and requires
+// deep-equal results. Running it must not modify the caller's Options.
+func TestClusterTopologyMatchesOptions(t *testing.T) {
+	const file = `{
+		"nodes": 4,
+		"node_types": [{"count": 2, "sms": 8}, {"count": 2, "pcie_gen": 3, "slow_factor": 1.5, "hbm_bytes": 4294967296}],
+		"dispatch": "jsq", "seed": 7, "context_capacity": 64,
+		"autoscale": {"interval": 200000, "cooldown": 300000, "min": 2, "max": 6, "step": 1, "high_p99": 900000,
+			"high_miss": 0.2, "high_backlog": 6, "low_backlog": 1},
+		"faults": {"seed": 11, "kill_rate": 1500, "downtime": 300000, "straggler_frac": 0.25, "slow_factor": 3},
+		"resilience": {"seed": 5, "timeout": 400000,
+			"retry": {"max_attempts": 4, "backoff_base": 20000, "backoff_max": 640000, "jitter_frac": 0.5,
+				"budget": {"tokens": 10, "ratio": 0.1}},
+			"hedge": {"quantile": 0.9, "min_obs": 16, "max_hedges": 1},
+			"breaker": {"window": 500000, "error_rate": 0.5, "min_volume": 8, "cooldown": 250000, "probes": 2},
+			"shed": {"per_node": 8, "queue": 32}}
+	}`
+	arr := openSpec(t)
+	base := Options{Policy: PolicyPPQ, Mechanism: MechanismAdaptive, Seed: 3, Arrivals: arr}
+	spelled := func() Options {
+		o := base
+		o.Nodes = 4
+		o.NodeTypes = []ClusterNodeType{{Count: 2, SMs: 8}, {Count: 2, PCIeGen: 3, SlowFactor: 1.5, HBMBytes: 4 << 30}}
+		o.Dispatch, o.DispatchSeed, o.ContextCapacity = DispatchJSQ, 7, 64
+		o.Autoscale = &AutoscalePolicy{
+			Interval: 200 * time.Microsecond, Cooldown: 300 * time.Microsecond, Min: 2, Max: 6, Step: 1,
+			HighP99: 900 * time.Microsecond, HighMiss: 0.2, HighBacklog: 6, LowBacklog: 1,
+		}
+		o.Faults = &FaultPlan{Seed: 11, KillRate: 1500, Downtime: 300 * time.Microsecond, StragglerFrac: 0.25, SlowFactor: 3}
+		o.Resilience = &ResilienceSpec{
+			Seed: 5, Timeout: 400 * time.Microsecond,
+			Retry: &RetryPolicy{
+				MaxAttempts: 4, BackoffBase: 20 * time.Microsecond, BackoffMax: 640 * time.Microsecond, JitterFrac: 0.5,
+				Budget: &RetryBudget{Tokens: 10, Ratio: 0.1},
+			},
+			Hedge: &HedgePolicy{Quantile: 0.9, MinObs: 16, MaxHedges: 1},
+			Breaker: &BreakerPolicy{
+				Window: 500 * time.Microsecond, ErrorRate: 0.5, MinVolume: 8, Cooldown: 250 * time.Microsecond, Probes: 2,
+			},
+			Shed: &ShedPolicy{PerNode: 8, Queue: 32},
+		}
+		return o
+	}
+
+	fromFile, err := ReadClusterTopology(strings.NewReader(file), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inGo := spelled()
+	if !reflect.DeepEqual(fromFile, inGo) {
+		t.Fatalf("topology file and Go options differ:\nfile %+v\n  go %+v", fromFile, inGo)
+	}
+	a, err := RunCluster(fromFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunCluster(inGo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("topology file and Go options ran differently:\nfile %+v\n  go %+v", a, b)
+	}
+	if a.Requests == 0 || a.Autoscale == "" || len(a.Nodes) < 4 {
+		t.Errorf("the every-stanza run did not arm the fleet: %+v", a)
+	}
+	if !reflect.DeepEqual(inGo, spelled()) {
+		t.Error("RunCluster modified the caller's Options")
+	}
+}

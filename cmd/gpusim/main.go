@@ -12,10 +12,11 @@
 // goodput.
 //
 // With -gpus N (N > 1) the open system becomes a fleet: N identical GPUs
-// run in deterministic lockstep behind the -dispatch placement policy
-// (round-robin, join-shortest-queue, predicted-backlog least-loaded,
-// class-affinity, or seeded power-of-two-choices), and the report adds each
-// GPU's share of the work. -cluster loads the same topology from JSON.
+// behind the -dispatch placement policy (round-robin, join-shortest-queue,
+// predicted-backlog least-loaded, class-affinity, or seeded
+// power-of-two-choices), and the report adds each GPU's share of the work.
+// Fleet output is byte-identical across runs, executors and worker counts.
+// -cluster loads the same topology from JSON.
 //
 // Examples:
 //
@@ -229,9 +230,7 @@ func main() {
 	if spec := buildResilience(*timeoutF, *retriesF, *budgetF, *hedgeF, *breakerF, *shedF); spec != nil {
 		opts.Resilience = spec
 	}
-	fleet := opts.Nodes > 1 || len(opts.NodeTypes) > 0 || opts.Autoscale != nil || opts.Faults != nil ||
-		opts.Resilience != nil || opts.HBM > 0 || opts.Swap
-	if fleet && *arrFlag == "" {
+	if isFleet(opts) && *arrFlag == "" {
 		fatal(fmt.Errorf("a fleet (-gpus/-autoscale/-kill-rate/-timeout/-retries/-hbm/-swap) needs -arrivals: the cluster layer serves open request streams"))
 	}
 	if *arrFlag != "" {
@@ -345,8 +344,7 @@ func runOpen(apps []*repro.App, hp int, mode string, rate float64, horizon, dead
 		fmt.Fprintf(os.Stderr, "wrote %d arrivals to %s\n", tr.Len(), outPath)
 	}
 
-	if opts.Nodes > 1 || len(opts.NodeTypes) > 0 || opts.Autoscale != nil || opts.Faults != nil ||
-		opts.Resilience != nil || opts.HBM > 0 || opts.Swap {
+	if isFleet(opts) {
 		runCluster(mode, opts)
 		return
 	}
@@ -431,6 +429,13 @@ func buildResilience(timeout time.Duration, retries int, budget, hedge, breaker,
 		s.Shed = p
 	}
 	return s
+}
+
+// isFleet reports whether the options describe a fleet run (RunCluster)
+// rather than a single open-system GPU (RunOpen).
+func isFleet(o repro.Options) bool {
+	return o.Nodes > 1 || len(o.NodeTypes) > 0 || o.Autoscale != nil || o.Faults != nil ||
+		o.Resilience != nil || o.HBM > 0 || o.Swap
 }
 
 // runCluster simulates the open-system stream on a fleet of GPUs behind the

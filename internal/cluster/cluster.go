@@ -473,28 +473,18 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 		baseScale = base.TimeScale
 	}
 	base.TimeScale = 0
+	nodes, err := FleetSize(rc.Nodes, rc.NodeTypes)
+	if err != nil {
+		return nil, err
+	}
 	var cfgs []nodeCfg
-	if len(rc.NodeTypes) > 0 {
-		total := 0
-		for ti, t := range rc.NodeTypes {
-			if err := t.Validate(); err != nil {
-				return nil, fmt.Errorf("cluster: node type %d: %w", ti, err)
-			}
-			total += t.Count
-			for j := 0; j < t.Count; j++ {
-				cfgs = append(cfgs, nodeCfg{t.apply(base), baseScale * t.scale()})
-			}
-		}
-		if rc.Nodes != 0 && rc.Nodes != total {
-			return nil, fmt.Errorf("cluster: node count %d does not match node types' total %d", rc.Nodes, total)
-		}
-	} else {
-		for i := 0; i < rc.Nodes; i++ {
-			cfgs = append(cfgs, nodeCfg{base, baseScale})
+	for _, t := range rc.NodeTypes {
+		for j := 0; j < t.Count; j++ {
+			cfgs = append(cfgs, nodeCfg{t.apply(base), baseScale * t.scale()})
 		}
 	}
-	if len(cfgs) < 1 || len(cfgs) > MaxNodes {
-		return nil, fmt.Errorf("cluster: node count %d out of range [1, %d]", len(cfgs), MaxNodes)
+	for len(cfgs) < nodes {
+		cfgs = append(cfgs, nodeCfg{base, baseScale})
 	}
 
 	c := &Cluster{tr: tr, rc: rc, disp: rc.Dispatcher, ctl: sim.NewEngine(), swapOn: rc.Swap}

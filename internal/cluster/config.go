@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
-	"repro/internal/resilience"
 	"repro/internal/system"
 )
 
@@ -16,7 +13,8 @@ const MaxNodes = 1024
 
 // NodeType describes one slice of a heterogeneous fleet: Count nodes sharing
 // hardware overrides of the base machine config. Zero-valued fields keep the
-// base value.
+// base value. The facade exports it as ClusterNodeType, and its JSON tags
+// name a topology file's node_types entries.
 type NodeType struct {
 	// Count is how many nodes of this type the fleet starts with.
 	Count int `json:"count"`
@@ -80,121 +78,30 @@ func (t NodeType) scale() float64 {
 	return 1
 }
 
-// Config is a serializable cluster topology: how many replicated machines
-// (or which heterogeneous node types), which dispatch policy feeds them, and
-// the optional autoscaling and fault-injection plans. CLIs load it from JSON
-// (gpusim -cluster) as an alternative to spelling the topology out in flags.
-type Config struct {
-	// Nodes is the number of replicated machines (1..MaxNodes). With
-	// NodeTypes set it may be 0 (derived) or must equal their total count.
-	Nodes int `json:"nodes"`
-	// NodeTypes optionally describes a heterogeneous fleet; the types expand
-	// in order to the starting nodes.
-	NodeTypes []*NodeType `json:"node_types,omitempty"`
-	// Dispatch names the placement policy (see Kinds; empty = round-robin).
-	Dispatch Kind `json:"dispatch,omitempty"`
-	// Seed drives randomized dispatch policies (p2c); 0 = 1.
-	Seed uint64 `json:"seed,omitempty"`
-	// ContextCapacity overrides each node's context-table capacity
-	// (0 = sized to the arrival count, as in RunConfig.Sys).
-	ContextCapacity int `json:"context_capacity,omitempty"`
-	// Autoscale, when present, enables the step autoscaler with this policy.
-	Autoscale *StepConfig `json:"autoscale,omitempty"`
-	// Faults, when present, is the seeded fault-injection plan.
-	Faults *FaultSpec `json:"faults,omitempty"`
-	// Resilience, when present, is the request-lifecycle plan: timeouts,
-	// retry budgets, hedging, circuit breakers, load shedding.
-	Resilience *resilience.Spec `json:"resilience,omitempty"`
-}
-
-// StartNodes returns the initial fleet size the topology describes.
-func (c Config) StartNodes() int {
-	if len(c.NodeTypes) == 0 {
-		return c.Nodes
+// FleetSize validates a starting fleet's shape and returns its node count:
+// nodes homogeneous replicas, or the types expanded in order, in which case
+// nodes may be 0 (derived) or must equal the types' total. New and the
+// facade's topology reader both apply these rules.
+func FleetSize(nodes int, types []NodeType) (int, error) {
+	if len(types) == 0 {
+		if nodes < 1 || nodes > MaxNodes {
+			return 0, fmt.Errorf("cluster: node count %d out of range [1, %d]", nodes, MaxNodes)
+		}
+		return nodes, nil
 	}
 	total := 0
-	for _, t := range c.NodeTypes {
-		if t != nil {
-			total += t.Count
-		}
-	}
-	return total
-}
-
-// Validate checks the topology: node count in range, a known dispatch
-// policy, and well-formed node-type, autoscale and fault stanzas.
-func (c Config) Validate() error {
-	for i, t := range c.NodeTypes {
-		if t == nil {
-			return fmt.Errorf("cluster: node type %d is null", i)
-		}
+	for i, t := range types {
 		if err := t.Validate(); err != nil {
-			return fmt.Errorf("cluster: node type %d: %w", i, err)
+			return 0, fmt.Errorf("cluster: node type %d: %w", i, err)
 		}
-	}
-	n := c.StartNodes()
-	if n < 1 || n > MaxNodes {
-		return fmt.Errorf("cluster: node count %d out of range [1, %d]", n, MaxNodes)
-	}
-	if len(c.NodeTypes) > 0 && c.Nodes != 0 && c.Nodes != n {
-		return fmt.Errorf("cluster: node count %d does not match node types' total %d", c.Nodes, n)
-	}
-	if c.ContextCapacity < 0 {
-		return fmt.Errorf("cluster: negative context capacity %d", c.ContextCapacity)
-	}
-	if _, err := NewDispatcher(c.Dispatch, 1); err != nil {
-		return err
-	}
-	if c.Autoscale != nil {
-		if err := c.Autoscale.Validate(); err != nil {
-			return err
+		// Checked per type so a sum of huge counts cannot wrap around.
+		if t.Count > MaxNodes-total {
+			return 0, fmt.Errorf("cluster: node types' total exceeds %d nodes", MaxNodes)
 		}
+		total += t.Count
 	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(); err != nil {
-			return err
-		}
+	if nodes != 0 && nodes != total {
+		return 0, fmt.Errorf("cluster: node count %d does not match node types' total %d", nodes, total)
 	}
-	if err := c.Resilience.Validate(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Dispatcher builds the topology's dispatch policy. The config must have
-// been validated.
-func (c Config) Dispatcher() (Dispatcher, error) {
-	return NewDispatcher(c.Dispatch, c.Seed)
-}
-
-// Types returns the topology's node types by value, for RunConfig.NodeTypes.
-func (c Config) Types() []NodeType {
-	var out []NodeType
-	for _, t := range c.NodeTypes {
-		if t != nil {
-			out = append(out, *t)
-		}
-	}
-	return out
-}
-
-// ReadConfig parses and validates a cluster topology from JSON.
-func ReadConfig(r io.Reader) (Config, error) {
-	var c Config
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
-		return Config{}, fmt.Errorf("cluster: decoding topology: %w", err)
-	}
-	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
-}
-
-// WriteJSON serializes the topology as indented JSON.
-func (c Config) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
+	return total, nil
 }

@@ -82,32 +82,31 @@ type Autoscaler interface {
 }
 
 // StepConfig parameterizes the step autoscaler. The zero value of a threshold
-// disables that signal. JSON tags let a cluster topology file carry the
-// policy (gpusim -cluster).
+// disables that signal.
 type StepConfig struct {
 	// Interval is the tick period. Default 250µs.
-	Interval sim.Time `json:"interval,omitempty"`
+	Interval sim.Time
 	// Cooldown is the minimum time between two scale actions. Default
 	// Interval.
-	Cooldown sim.Time `json:"cooldown,omitempty"`
+	Cooldown sim.Time
 	// Min and Max bound the Up-node count. Defaults 1 and MaxNodes.
-	Min int `json:"min,omitempty"`
-	Max int `json:"max,omitempty"`
+	Min int
+	Max int
 	// Step is the node-count delta per action. Default 1.
-	Step int `json:"step,omitempty"`
+	Step int
 	// Class is the trace class index whose window the thresholds watch.
-	Class int `json:"class,omitempty"`
+	Class int
 	// HighP99 scales up when the watched class's window completion-latency
 	// p99 exceeds it.
-	HighP99 sim.Time `json:"high_p99,omitempty"`
+	HighP99 sim.Time
 	// HighMiss scales up when the window deadline-miss fraction exceeds it.
-	HighMiss float64 `json:"high_miss,omitempty"`
+	HighMiss float64
 	// HighBacklog scales up when fleet in-flight exceeds HighBacklog per Up
 	// node.
-	HighBacklog int `json:"high_backlog,omitempty"`
+	HighBacklog int
 	// LowBacklog scales down when fleet in-flight falls below LowBacklog per
 	// Up node and no scale-up signal fires.
-	LowBacklog int `json:"low_backlog,omitempty"`
+	LowBacklog int
 }
 
 func (c StepConfig) withDefaults() StepConfig {

@@ -25,20 +25,19 @@ const (
 // fresh admissions), and restarts the node after Downtime as a new
 // incarnation with a fresh jitter seed. Incarnations independently roll the
 // straggler die: a straggler serves every thread block SlowFactor times
-// slower until it is killed again. JSON tags let a cluster topology file
-// carry the plan (gpusim -cluster).
+// slower until it is killed again.
 type FaultSpec struct {
 	// Seed drives the injector (kill times, victims, straggler draws);
 	// 0 derives one from the machine seed.
-	Seed uint64 `json:"seed,omitempty"`
+	Seed uint64
 	// KillRate is the mean node kills per simulated second (0 = no kills).
-	KillRate float64 `json:"kill_rate,omitempty"`
+	KillRate float64
 	// Downtime is how long a killed node stays down. Default 500µs.
-	Downtime sim.Time `json:"downtime,omitempty"`
+	Downtime sim.Time
 	// StragglerFrac is the probability each node incarnation is a straggler.
-	StragglerFrac float64 `json:"straggler_frac,omitempty"`
+	StragglerFrac float64
 	// SlowFactor is the straggler service-time multiplier. Default 2.
-	SlowFactor float64 `json:"slow_factor,omitempty"`
+	SlowFactor float64
 }
 
 func (f FaultSpec) withDefaults() FaultSpec {

@@ -213,6 +213,64 @@ func TestParallelPreShardMatchesLockstep(t *testing.T) {
 	}
 }
 
+// TestParallelHardSyncMatchesLockstep covers parLoop's per-arrival hard
+// sync, the path for a load-aware dispatcher the latency-floor lookahead
+// cannot serve. It is reached two ways: a fleet whose dispatch floor is zero
+// (every dispatcher kind, with kills so control events interleave), and a
+// dispatcher that declares neither LoadOblivious nor Lookahead (at the
+// default floor). Both must reproduce lockstep at every worker count.
+func TestParallelHardSyncMatchesLockstep(t *testing.T) {
+	tr := testTrace(t, 40000, 67)
+	check := func(name string, mk func() Dispatcher, zeroFloor bool) {
+		mkRC := func(parallel int) RunConfig {
+			rc := testRunConfig(3, mk())
+			if zeroFloor {
+				rc.Sys.PCIe.IssueLatency, rc.Sys.PCIe.BurstOverhead = 0, 0
+			}
+			rc.Faults = &FaultSpec{KillRate: 1500, Downtime: 300 * sim.Microsecond}
+			rc.Parallel = parallel
+			return rc
+		}
+		ref, err := Run(tr, mkRC(0))
+		if err != nil {
+			t.Fatalf("%s: lockstep: %v", name, err)
+		}
+		for _, workers := range []int{1, 4} {
+			c, err := New(tr, mkRC(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if zeroFloor && c.DispatchFloor() != 0 {
+				t.Fatalf("%s: fleet floor %v with zero PCIe latencies", name, c.DispatchFloor())
+			}
+			if c.lookOn {
+				t.Fatalf("%s: lookahead engaged; the hard-sync path is untested", name)
+			}
+			par, err := c.Run()
+			if err != nil {
+				t.Fatalf("%s: parallel(%d): %v", name, workers, err)
+			}
+			if !reflect.DeepEqual(ref, par) {
+				t.Errorf("%s: parallel(%d) diverged from lockstep: completed %d/%d end %v/%v",
+					name, workers, ref.Completed, par.Completed, ref.EndTime, par.EndTime)
+			}
+		}
+	}
+	for ki, kind := range Kinds() {
+		check(string(kind), func() Dispatcher {
+			d, err := NewDispatcher(kind, uint64(ki+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}, true)
+	}
+	check("plain-jsq", func() Dispatcher { return plainDispatcher{NewJSQ()} }, false)
+}
+
+// plainDispatcher hides every optional interface of the dispatcher it wraps.
+type plainDispatcher struct{ Dispatcher }
+
 // TestParallelResilienceFallsBackToLockstep pins the documented safety
 // fallback: with the request-lifecycle manager armed the safe lookahead is
 // zero, so any Parallel value must silently run the lockstep reference and

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/resilience"
@@ -354,50 +352,5 @@ func TestResilienceBreakerMasksFailingNode(t *testing.T) {
 	if slow.Admitted >= fast.Admitted {
 		t.Errorf("breaker did not shift load: slow node admitted %d >= fast node %d",
 			slow.Admitted, fast.Admitted)
-	}
-}
-
-// TestConfigResilienceStanza pins the topology-JSON path: a resilience stanza
-// decodes, validates, survives a WriteJSON round trip, and malformed stanzas
-// are rejected at ReadConfig time.
-func TestConfigResilienceStanza(t *testing.T) {
-	good := `{"nodes": 2, "dispatch": "jsq", "resilience": {
-		"timeout": 400000,
-		"retry": {"max_attempts": 4, "backoff_base": 20000, "budget": {"tokens": 10, "ratio": 0.1}},
-		"hedge": {"quantile": 0.9},
-		"breaker": {"error_rate": 0.3},
-		"shed": {"per_node": 16, "queue": 32}}}`
-	c, err := ReadConfig(strings.NewReader(good))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Resilience.Enabled() {
-		t.Fatal("decoded resilience stanza reports disabled")
-	}
-	if c.Resilience.Timeout != 400000 || c.Resilience.Retry.MaxAttempts != 4 ||
-		c.Resilience.Retry.Budget.Tokens != 10 || c.Resilience.Shed.Queue != 32 {
-		t.Errorf("stanza decoded wrong: %+v", *c.Resilience)
-	}
-	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadConfig(&buf)
-	if err != nil {
-		t.Fatalf("round trip: %v", err)
-	}
-	if !reflect.DeepEqual(c, back) {
-		t.Error("topology round trip changed the resilience stanza")
-	}
-
-	for name, blob := range map[string]string{
-		"negative timeout": `{"nodes": 2, "resilience": {"timeout": -5}}`,
-		"negative budget":  `{"nodes": 2, "resilience": {"retry": {"budget": {"tokens": -1}}}}`,
-		"bad quantile":     `{"nodes": 2, "resilience": {"hedge": {"quantile": 2}}}`,
-		"unknown field":    `{"nodes": 2, "resilience": {"no_such_policy": 1}}`,
-	} {
-		if _, err := ReadConfig(strings.NewReader(blob)); err == nil {
-			t.Errorf("%s accepted", name)
-		}
 	}
 }

@@ -13,17 +13,17 @@ import (
 // succeeding closes the breaker, any failure re-trips it.
 type BreakerPolicy struct {
 	// Window is the rolling observation window. Default 500µs.
-	Window sim.Time `json:"window,omitempty"`
+	Window sim.Time
 	// ErrorRate is the failure fraction that trips the breaker.
 	// Default 0.5.
-	ErrorRate float64 `json:"error_rate,omitempty"`
+	ErrorRate float64
 	// MinVolume is the minimum window observations before tripping.
 	// Default 8.
-	MinVolume int `json:"min_volume,omitempty"`
+	MinVolume int
 	// Cooldown is how long a tripped breaker stays open. Default Window.
-	Cooldown sim.Time `json:"cooldown,omitempty"`
+	Cooldown sim.Time
 	// Probes is the half-open trial quota. Default 1.
-	Probes int `json:"probes,omitempty"`
+	Probes int
 }
 
 func (p BreakerPolicy) withDefaults() BreakerPolicy {

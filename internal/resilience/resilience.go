@@ -20,30 +20,28 @@ import (
 	"repro/internal/sim"
 )
 
-// Spec is the serializable request-resilience plan: which of the lifecycle
-// policies are armed and with what parameters. The zero value (and nil) is
-// inert — a cluster run with a zero Spec is bit-for-bit the plain elastic
-// fleet. JSON tags let a cluster topology file carry the plan
-// (gpusim -cluster).
+// Spec is the request-resilience plan: which of the lifecycle policies are
+// armed and with what parameters. The zero value (and nil) is inert — a
+// cluster run with a zero Spec is bit-for-bit the plain elastic fleet.
 type Spec struct {
 	// Seed drives the retry-jitter stream; 0 derives one from the machine
 	// seed.
-	Seed uint64 `json:"seed,omitempty"`
+	Seed uint64
 	// Timeout is the per-attempt deadline: an attempt that has not completed
 	// Timeout after its dispatch is abandoned (counted TimedOut) and the
 	// request moves to the retry policy. 0 disables timeouts.
-	Timeout sim.Time `json:"timeout,omitempty"`
+	Timeout sim.Time
 	// Retry, when present, re-dispatches attempts abandoned by timeout or
 	// destroyed by a node kill. Without it a failed request is Dropped.
-	Retry *RetryPolicy `json:"retry,omitempty"`
+	Retry *RetryPolicy
 	// Hedge, when present, launches a second attempt on another node when the
 	// first outlives the class's observed latency quantile.
-	Hedge *HedgePolicy `json:"hedge,omitempty"`
+	Hedge *HedgePolicy
 	// Breaker, when present, arms a circuit breaker per node slot.
-	Breaker *BreakerPolicy `json:"breaker,omitempty"`
+	Breaker *BreakerPolicy
 	// Shed, when present, bounds per-class admission and sheds best-effort
 	// overflow before it reaches a node.
-	Shed *ShedPolicy `json:"shed,omitempty"`
+	Shed *ShedPolicy
 }
 
 // Enabled reports whether the spec arms any lifecycle policy. A nil or
@@ -115,18 +113,18 @@ func (s *Spec) Validate() error {
 type RetryPolicy struct {
 	// MaxAttempts bounds the attempts per request, first dispatch included
 	// (0 = unlimited — the naive retry-storm baseline).
-	MaxAttempts int `json:"max_attempts,omitempty"`
+	MaxAttempts int
 	// BackoffBase is the delay before the first retry; each further retry
 	// doubles it. 0 retries immediately.
-	BackoffBase sim.Time `json:"backoff_base,omitempty"`
+	BackoffBase sim.Time
 	// BackoffMax caps the exponential delay. Default 64 × BackoffBase.
-	BackoffMax sim.Time `json:"backoff_max,omitempty"`
+	BackoffMax sim.Time
 	// JitterFrac spreads each delay uniformly over
 	// [1-JitterFrac, 1] × delay. Default 0.5 when backoff is armed.
-	JitterFrac float64 `json:"jitter_frac,omitempty"`
+	JitterFrac float64
 	// Budget, when present, is the per-class retry token bucket; a retry
 	// with no token available Drops the request instead of re-queueing it.
-	Budget *Budget `json:"budget,omitempty"`
+	Budget *Budget
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -96,36 +95,6 @@ func TestSpecWithDefaults(t *testing.T) {
 	// Defaulting must not mutate the original's nested policies in place.
 	if s.Retry.BackoffMax != 0 {
 		t.Error("WithDefaults mutated the source spec")
-	}
-}
-
-func TestSpecJSONRoundTrip(t *testing.T) {
-	s := Spec{
-		Seed:    9,
-		Timeout: 300 * sim.Microsecond,
-		Retry: &RetryPolicy{
-			MaxAttempts: 4,
-			BackoffBase: 20 * sim.Microsecond,
-			Budget:      &Budget{Tokens: 5, Ratio: 0.2},
-		},
-		Hedge:   &HedgePolicy{Quantile: 0.9, MinObs: 8, MaxHedges: 2},
-		Breaker: &BreakerPolicy{Window: sim.Millisecond, ErrorRate: 0.3, MinVolume: 4},
-		Shed:    &ShedPolicy{PerNode: 16, Queue: 64},
-	}
-	blob, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Spec
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Timeout != s.Timeout || *back.Retry.Budget != *s.Retry.Budget ||
-		*back.Hedge != *s.Hedge || *back.Breaker != *s.Breaker || *back.Shed != *s.Shed {
-		t.Errorf("round trip changed the spec: %s", blob)
-	}
-	if !strings.Contains(string(blob), `"max_attempts":4`) {
-		t.Errorf("unexpected JSON shape: %s", blob)
 	}
 }
 
