@@ -464,10 +464,12 @@ func benchClusterOpts(b *testing.B) Options {
 // protocol alone; the wider lines add workers on top). The jsq- lines dispatch
 // join-shortest-queue, where every placement reads fleet load, so the
 // windowed executor leans on the PCIe latency-floor lookahead instead of
-// pre-sharding — the comparison that prices serial dispatch decisions.
+// pre-sharding — the comparison that prices serial dispatch decisions, with
+// jsq-lockstep plus jsq-window=1/2/8 as the lookahead's scaling curve.
 // Results are byte-identical within a dispatch policy — only the wall-clock
 // changes. The lockstep, window=8, jsq-lockstep and jsq-window=8 lines are
-// gated by the benchcheck CI job via bench_baseline.json.
+// gated by the benchcheck CI job via bench_baseline.json; the others are
+// ungated curve points.
 func BenchmarkRunCluster(b *testing.B) {
 	opts := benchClusterOpts(b)
 	for _, cfg := range []struct {
@@ -481,6 +483,8 @@ func BenchmarkRunCluster(b *testing.B) {
 		{"window=4", DispatchRoundRobin, 4},
 		{"window=8", DispatchRoundRobin, 8},
 		{"jsq-lockstep", DispatchJSQ, 0},
+		{"jsq-window=1", DispatchJSQ, 1},
+		{"jsq-window=2", DispatchJSQ, 2},
 		{"jsq-window=8", DispatchJSQ, 8},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {

@@ -175,9 +175,11 @@ func AdmitRequest(sys *system.System, acct *metrics.SLOAccount, tr *trace.Arriva
 // AdmitAttempt is the accounting-free admission primitive under AdmitRequest:
 // it places the context and process for arrival i on sys at the engine's
 // current time and hands the raw completion record to onDone after the
-// context retires. The cluster's resilience layer admits through it so each
-// attempt's outcome can be judged (winner, ghost, hedge loser) before any SLO
-// accounting happens.
+// context retires. tr must have passed trace.(*ArrivalTrace).Validate (Run
+// and cluster.New check it once): proc.NewOneShot relies on that instead of
+// re-validating the app per request. The cluster's resilience layer admits
+// through it so each attempt's outcome can be judged (winner, ghost, hedge
+// loser) before any SLO accounting happens.
 func AdmitAttempt(sys *system.System, tr *trace.ArrivalTrace, i int, onDone func(rec proc.RunRecord)) error {
 	a := &tr.Arrivals[i]
 	cls := &tr.Classes[a.Class]

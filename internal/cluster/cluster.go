@@ -97,12 +97,13 @@ type RunConfig struct {
 	MaxEvents uint64
 	// Parallel switches the run from the event-by-event lockstep reference
 	// to parallel-in-time window execution: node engines run independently
-	// inside conservative time windows on this many workers, with a
-	// deterministic merge at every window boundary. Results are
-	// byte-identical to the lockstep path at any worker count; 0 keeps the
-	// lockstep reference. A run with the resilience layer armed always uses
-	// lockstep — cross-node completion coupling (hedge cancellation, breaker
-	// feedback) shrinks the safe lookahead to zero (see DESIGN.md).
+	// inside conservative time windows on this many workers (at most
+	// GOMAXPROCS, the calling goroutine among them), with a deterministic
+	// merge at every window boundary. Results are byte-identical to the
+	// lockstep path at any worker count; 0 keeps the lockstep reference. A
+	// run with the resilience layer armed always uses lockstep — cross-node
+	// completion coupling (hedge cancellation, breaker feedback) shrinks the
+	// safe lookahead to zero (see DESIGN.md).
 	Parallel int
 	// Warmth, when non-nil, warm-starts the dispatcher from a snapshot of a
 	// previously drained fleet (see Cluster.Warmth), so a measurement run
@@ -377,16 +378,21 @@ type Cluster struct {
 
 	// Parallel-window execution state (zero when the lockstep reference
 	// runs; see parallel.go).
-	parOn      bool
-	parWorkers int
-	pool       *runner.Pool
-	oblivious  bool       // dispatcher is LoadOblivious: arrivals pre-shard
-	lookOn     bool       // dispatcher is Lookahead: latency-floor windows
-	floorMin   sim.Time   // min dispatch floor over every possible target node
-	winActive  []*Node    // per-window scratch: nodes with work in the window
-	batch      []shardEnt // lookahead scratch: the arrivals inside the window
-	winCounts  []uint64   // per-window scratch: per-active-node step counts
-	finTimes   []sim.Time // final-window scratch: per-active-node drain times
+	parOn     bool
+	pool      *runner.Pool
+	oblivious bool       // dispatcher is LoadOblivious: arrivals pre-shard
+	lookOn    bool       // dispatcher is Lookahead: latency-floor windows
+	floorMin  sim.Time   // min dispatch floor over every possible target node
+	winActive []*Node    // per-window scratch: nodes with work in the window
+	batch     []shardEnt // lookahead scratch: the arrivals inside the window
+	winCounts []uint64   // per-window scratch: per-active-node step counts
+	finTimes  []sim.Time // final-window scratch: per-active-node drain times
+	// The current fan-out (see fanOut): which pass, its time bound, the
+	// final window's resolving node, and the pool job, bound once per run.
+	winPass     winPass
+	winBound    sim.Time
+	finNode     int
+	runActiveFn func(int)
 
 	// nodeQ caches each node engine's next event timestamp in a heap keyed
 	// by (time, node index). Node engines are isolated — an event on node i
@@ -569,7 +575,6 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 	// shrinks the safe parallel lookahead to zero — it always runs on the
 	// lockstep reference.
 	c.parOn = rc.Parallel >= 1 && c.res == nil
-	c.parWorkers = rc.Parallel
 	_, c.oblivious = c.disp.(LoadOblivious)
 	// The latency-floor lookahead bound must hold for every node an arrival
 	// could land on — including nodes the autoscaler has yet to add, which
@@ -634,10 +639,9 @@ func (c *Cluster) Run() (*Result, error) {
 	loop := c.loop
 	if c.parOn {
 		loop = c.parLoop
-		if c.parWorkers > 1 {
-			c.pool = runner.NewPool(c.parWorkers)
-			defer c.pool.Close()
-		}
+		c.pool = runner.NewPool(c.rc.Parallel)
+		defer c.pool.Close()
+		c.runActiveFn = c.runActive
 	}
 	if err := loop(); err != nil {
 		return nil, err

@@ -170,6 +170,29 @@ func TestClusterRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestEntryPointsRejectAppWithoutLaunch pins the one validation site the
+// per-request admission path relies on: proc.NewOneShot does not re-check
+// the app, so both run entry points must refuse a trace whose app never
+// launches a kernel before any request is admitted.
+func TestEntryPointsRejectAppWithoutLaunch(t *testing.T) {
+	tr := testTrace(t, 20000, 3)
+	bad := *tr.Apps[0]
+	bad.Ops = []trace.Op{{Kind: trace.OpCPU, Dur: sim.Microsecond}}
+	tr.Apps = append([]*trace.App{&bad}, tr.Apps[1:]...)
+	const want = "never launches a kernel"
+	if _, err := New(tr, testRunConfig(2, NewJSQ())); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("cluster.New: err = %v, want %q", err, want)
+	}
+	rc := arrivals.RunConfig{
+		Sys:       system.DefaultConfig(),
+		Policy:    func(n int) core.Policy { return policy.NewPPQ(false) },
+		Mechanism: func() core.Mechanism { return preempt.ContextSwitch{} },
+	}
+	if _, err := arrivals.Run(tr, rc); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("arrivals.Run: err = %v, want %q", err, want)
+	}
+}
+
 // badDispatcher returns an out-of-range node.
 type badDispatcher struct{ noopHooks }
 

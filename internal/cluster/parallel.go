@@ -229,14 +229,8 @@ func (c *Cluster) runLookahead(bound sim.Time) (uint64, bool) {
 	if len(active) == 0 && len(c.batch) == 0 {
 		return 0, false
 	}
-	counts := c.stepCounts(len(active))
-	c.fanOut(len(active), func(i int) {
-		counts[i] = c.runNodeLook(active[i], bound)
-	})
-	var steps uint64
-	for _, s := range counts {
-		steps += s
-	}
+	c.stepCounts(len(active))
+	steps := c.fanOut(winLook, bound)
 	for _, n := range active {
 		c.refresh(n.Index)
 	}
@@ -380,17 +374,12 @@ func (c *Cluster) runWindow(bound sim.Time, final bool) uint64 {
 	if len(active) == 0 {
 		return 0
 	}
+	c.stepCounts(len(active))
 	var steps uint64
 	if final {
 		steps = c.runFinal(active, bound)
 	} else {
-		counts := c.stepCounts(len(active))
-		c.fanOut(len(active), func(i int) {
-			counts[i] = c.runNodeTo(active[i], bound)
-		})
-		for _, s := range counts {
-			steps += s
-		}
+		steps = c.fanOut(winTo, bound)
 	}
 	for _, n := range active {
 		c.refresh(n.Index)
@@ -399,28 +388,66 @@ func (c *Cluster) runWindow(bound sim.Time, final bool) uint64 {
 	return steps
 }
 
-// stepCounts returns the per-active-node step-count scratch, zeroed and
-// sized to n — windows fire millions of times per run, so the buffer is
-// reused rather than reallocated.
-func (c *Cluster) stepCounts(n int) []uint64 {
+// stepCounts zeroes the per-active-node step-count scratch and sizes it to
+// n — windows fire millions of times per run, so the buffer is reused
+// rather than reallocated.
+func (c *Cluster) stepCounts(n int) {
 	if cap(c.winCounts) < n {
 		c.winCounts = make([]uint64, n)
 	}
 	c.winCounts = c.winCounts[:n]
 	clear(c.winCounts)
-	return c.winCounts
 }
 
-// fanOut runs fn(0..n-1) on the window pool, or inline when the pool is
-// absent (Parallel <= 1) or the window touches a single node.
-func (c *Cluster) fanOut(n int, fn func(int)) {
-	if c.pool == nil || n < 2 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
+// winPass names the per-node work one fan-out runs over the active nodes.
+type winPass uint8
+
+const (
+	winLook     winPass = iota // lookahead: runNodeLook to the bound
+	winTo                      // runNodeTo the bound
+	winDrain                   // final pass one: runNodeDrain
+	winResidual                // final pass two: replay the residual events around T*
+)
+
+// fanOut runs pass over every active node on the window pool (inline when
+// the pool has one participant or the window touches a single node) and
+// returns the window's step count so far — passes accumulate into the
+// counts stepCounts zeroed when the window began. The pass parameters live on the Cluster and the pool's job is a
+// method value bound once per run, so a window allocates nothing.
+func (c *Cluster) fanOut(pass winPass, bound sim.Time) uint64 {
+	c.winPass, c.winBound = pass, bound
+	c.pool.Run(len(c.winActive), c.runActiveFn)
+	var steps uint64
+	for _, s := range c.winCounts {
+		steps += s
 	}
-	c.pool.Run(n, fn)
+	return steps
+}
+
+// runActive runs the current pass on active node i, adding its fired events
+// to the node's step count. Each call touches only its own node and its own
+// slots of the window scratch.
+func (c *Cluster) runActive(i int) {
+	n := c.winActive[i]
+	switch c.winPass {
+	case winLook:
+		c.winCounts[i] += c.runNodeLook(n, c.winBound)
+	case winTo:
+		c.winCounts[i] += c.runNodeTo(n, c.winBound)
+	case winDrain:
+		c.finTimes[i] = -1
+		if n.liveLocal() == 0 && len(n.shard) == 0 {
+			return
+		}
+		c.winCounts[i] += c.runNodeDrain(n, c.winBound, &c.finTimes[i])
+	case winResidual:
+		switch {
+		case n.Index < c.finNode:
+			c.winCounts[i] += c.runNodeUntil(n, c.winBound)
+		case n.Index > c.finNode:
+			c.winCounts[i] += c.runNodeUntil(n, c.winBound-1)
+		}
+	}
 }
 
 // runNodeTo fires node n's events strictly before bound, interleaving any
@@ -503,22 +530,14 @@ func (c *Cluster) runNodeUntil(n *Node, limit sim.Time) uint64 {
 // the run's final fired event, exactly as lockstep's done()-before-every-
 // event check guarantees.
 func (c *Cluster) runFinal(active []*Node, bound sim.Time) uint64 {
-	counts := c.stepCounts(len(active))
 	if cap(c.finTimes) < len(active) {
 		c.finTimes = make([]sim.Time, len(active))
 	}
-	fins := c.finTimes[:len(active)]
+	c.finTimes = c.finTimes[:len(active)]
 	// Pass one: nodes with live work drain or hit the bound. Nodes holding
 	// only residual events wait — how far they may run depends on where the
 	// global finish lands.
-	c.fanOut(len(active), func(i int) {
-		fins[i] = -1
-		n := active[i]
-		if n.liveLocal() == 0 && len(n.shard) == 0 {
-			return
-		}
-		counts[i] = c.runNodeDrain(n, bound, &fins[i])
-	})
+	c.fanOut(winDrain, bound)
 	totalIn := 0
 	for _, n := range c.Nodes {
 		totalIn += n.liveLocal()
@@ -527,36 +546,21 @@ func (c *Cluster) runFinal(active []*Node, bound sim.Time) uint64 {
 		// Some node is still busy at the bound (or holds work with no event
 		// before it), so the run does not end in this window and every event
 		// before the bound fires, exactly as lockstep with done() false.
-		c.fanOut(len(active), func(i int) {
-			counts[i] += c.runNodeTo(active[i], bound)
-		})
-	} else {
-		// The fleet drained: the run ends at T*, the latest per-node drain
-		// time, resolved by the highest-index node finishing there. Replay
-		// the residual events lockstep would still have fired: all of a
-		// lower-index node's events at T* precede node k's resolving
-		// completion; a higher-index node's events at T* never fire.
-		tstar, k := sim.Time(-1), -1
-		for i, n := range active {
-			if fins[i] >= 0 && (fins[i] > tstar || (fins[i] == tstar && n.Index > k)) {
-				tstar, k = fins[i], n.Index
-			}
+		return c.fanOut(winTo, bound)
+	}
+	// The fleet drained: the run ends at T*, the latest per-node drain time,
+	// resolved by node k, the highest index finishing there. Replay the
+	// residual events lockstep would still have fired: all of a lower-index
+	// node's events at T* precede node k's resolving completion; a
+	// higher-index node's events at T* never fire.
+	tstar, k := sim.Time(-1), -1
+	for i, n := range active {
+		if fin := c.finTimes[i]; fin >= 0 && (fin > tstar || (fin == tstar && n.Index > k)) {
+			tstar, k = fin, n.Index
 		}
-		c.fanOut(len(active), func(i int) {
-			n := active[i]
-			switch {
-			case n.Index < k:
-				counts[i] += c.runNodeUntil(n, tstar)
-			case n.Index > k:
-				counts[i] += c.runNodeUntil(n, tstar-1)
-			}
-		})
 	}
-	var steps uint64
-	for _, s := range counts {
-		steps += s
-	}
-	return steps
+	c.finNode = k
+	return c.fanOut(winResidual, tstar)
 }
 
 // mergeWindow replays the completions buffered during a window in the

@@ -151,10 +151,12 @@ func NewWithContext(sys *system.System, ctx *gpu.Context, app *trace.App) (*Proc
 // reuses it — with its streams, queue slices and continuations — instead of
 // allocating. The caller must not touch the process, or the slice Runs
 // returned, after OnRunComplete; a process set to Loop is never recycled.
+//
+// NewOneShot sits on the per-request admission path, so unlike New and
+// NewWithContext it does not validate app: the caller must pass an app that
+// has passed trace.(*App).Validate — as every app of an arrival trace has
+// once trace.(*ArrivalTrace).Validate accepted the trace.
 func NewOneShot(sys *system.System, ctx *gpu.Context, app *trace.App) (*Process, error) {
-	if err := app.Validate(); err != nil {
-		return nil, err
-	}
 	if ctx == nil {
 		return nil, fmt.Errorf("proc: nil context")
 	}

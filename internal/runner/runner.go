@@ -12,6 +12,8 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // Options configures a Map call.
@@ -32,56 +34,162 @@ func (o Options) workers() int {
 	return runtime.NumCPU()
 }
 
-// Pool is a persistent worker pool for repeated small fan-outs: the workers
-// are spawned once and reused across Run calls, so callers that fan out many
-// times with tiny batches (the cluster layer's parallel time windows fan out
-// once per window) pay goroutine startup once per run instead of once per
-// batch. A Pool is much leaner than Map — no contexts, no errors, no result
-// collection — because its callers communicate through state they partition
-// themselves.
+// Pool is a persistent fan-out pool for many small, latency-sensitive
+// batches: the cluster layer's parallel time windows fan out thousands of
+// times per run, each batch only tens of microseconds of work. The pool has
+// W = min(workers, GOMAXPROCS) participants — the goroutine calling Run is
+// worker 0 and W-1 helper goroutines are spawned once — and Run splits its
+// index range into one contiguous partition per participant, so a batch
+// costs one handoff per helper rather than one per index, and a caller
+// whose batches keep a stable index order (the cluster's active nodes, in
+// node order) keeps each index on the same goroutine from batch to batch.
+//
+// Between batches each helper spins on the batch generation for spinFor
+// before parking on a condition variable, so back-to-back batches separated
+// by a short serial phase hand off without a scheduler wake-up, while an
+// idle pool costs no CPU. Spinners yield the processor periodically, so
+// they cannot starve the caller even when GOMAXPROCS shrinks below W.
+//
+// A Pool is much leaner than Map — no contexts, no errors, no result
+// collection — because its callers communicate through state they
+// partition themselves. A warm Run allocates nothing.
 type Pool struct {
-	jobs chan poolJob
+	helpers int // W-1; the caller of Run is worker 0
+
+	// work publishes a batch: its generation in the high 32 bits and its
+	// partition count in the low 32. Helper h runs partition h when h is
+	// below the count; only those helpers read n and fn, which stay put
+	// until pending drains to zero.
+	work    atomic.Uint64
+	n       int
+	fn      func(int)
+	pending atomic.Int32
+
+	parked atomic.Int32 // helpers asleep on wake
+	mu     sync.Mutex
+	wake   *sync.Cond
+	closed atomic.Bool
+	exited sync.WaitGroup
 }
 
-type poolJob struct {
-	i  int
-	fn func(int)
-	wg *sync.WaitGroup
-}
+const (
+	// spinFor bounds how long an idle helper polls for the next batch
+	// before parking. It exceeds the serial phase between two cluster
+	// windows (the micro-merge and the next window's set-up), so
+	// steady-state batches rarely pay a wake-up, yet an idle pool parks
+	// within a fraction of a millisecond. A 15 µs bound measurably parked
+	// between jsq lookahead windows on a 2-CPU Xeon.
+	spinFor = 50 * time.Microsecond
+	// spinCheck is the number of polls between clock reads and yields.
+	spinCheck = 32
+)
 
-// NewPool starts a pool of the given number of worker goroutines (zero or
-// negative means runtime.NumCPU()). Close the pool when done with it.
+// NewPool starts a pool of min(workers, GOMAXPROCS) participants (zero or
+// negative workers means GOMAXPROCS): the caller of Run plus that many
+// minus one helper goroutines. Close the pool when done with it.
 func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+	procs := runtime.GOMAXPROCS(0)
+	if workers <= 0 || workers > procs {
+		workers = procs
 	}
-	p := &Pool{jobs: make(chan poolJob, workers)}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for j := range p.jobs {
-				j.fn(j.i)
-				j.wg.Done()
-			}
-		}()
+	p := &Pool{helpers: workers - 1}
+	p.wake = sync.NewCond(&p.mu)
+	p.exited.Add(p.helpers)
+	for h := 1; h <= p.helpers; h++ {
+		go p.helper(h)
 	}
 	return p
 }
 
-// Run invokes fn(0) .. fn(n-1) on the pool's workers and returns when all
-// calls have finished. fn must be safe for concurrent use; Run itself must
-// not be called concurrently from multiple goroutines, and fn must not call
-// Run reentrantly (the workers it would wait on are occupied running it).
+// Run invokes fn(0) .. fn(n-1) and returns when all calls have finished:
+// the caller runs the first partition itself, the helpers the others, each
+// partition's indices in ascending order. fn must be safe for concurrent
+// use across partitions; Run itself must not be called concurrently from
+// multiple goroutines, and fn must not call Run reentrantly.
 func (p *Pool) Run(n int, fn func(int)) {
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		p.jobs <- poolJob{i: i, fn: fn, wg: &wg}
+	parts := min(n, p.helpers+1)
+	if parts < 2 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
 	}
-	wg.Wait()
+	p.n, p.fn = n, fn
+	p.pending.Store(int32(parts - 1))
+	p.work.Store((p.work.Load()>>32+1)<<32 | uint64(parts))
+	// A helper increments parked before its final check of work, and Run
+	// stores work before reading parked, so either the helper sees the new
+	// batch or Run sees the sleeper (both are sequentially consistent).
+	if p.parked.Load() > 0 {
+		p.mu.Lock()
+		p.wake.Broadcast()
+		p.mu.Unlock()
+	}
+	p.runPart(0, parts)
+	for p.pending.Load() != 0 {
+		runtime.Gosched()
+	}
 }
 
-// Close shuts the pool's workers down. Run must not be called after Close.
-func (p *Pool) Close() { close(p.jobs) }
+// runPart runs partition w of parts over the current batch.
+func (p *Pool) runPart(w, parts int) {
+	for i, hi := w*p.n/parts, (w+1)*p.n/parts; i < hi; i++ {
+		p.fn(i)
+	}
+}
+
+// helper is the loop of helper goroutine h: wait for each new batch and run
+// its partition when the batch has one for it.
+func (p *Pool) helper(h int) {
+	defer p.exited.Done()
+	var seen uint64
+	for {
+		seen = p.await(seen)
+		if p.closed.Load() {
+			return
+		}
+		if parts := int(uint32(seen)); h < parts {
+			p.runPart(h, parts)
+			p.pending.Add(-1)
+		}
+	}
+}
+
+// await spins for up to spinFor, then parks, until the published batch
+// differs from seen, and returns it.
+func (p *Pool) await(seen uint64) uint64 {
+	start := time.Now()
+	for i := 1; ; i++ {
+		if w := p.work.Load(); w != seen {
+			return w
+		}
+		if i%spinCheck == 0 {
+			if time.Since(start) > spinFor {
+				break
+			}
+			runtime.Gosched()
+		}
+	}
+	p.mu.Lock()
+	p.parked.Add(1)
+	for p.work.Load() == seen {
+		p.wake.Wait()
+	}
+	p.parked.Add(-1)
+	p.mu.Unlock()
+	return p.work.Load()
+}
+
+// Close stops the helpers, spinning or parked, and returns once every one
+// has exited. Run must not be called after Close.
+func (p *Pool) Close() {
+	p.closed.Store(true)
+	p.work.Add(1 << 32)
+	p.mu.Lock()
+	p.wake.Broadcast()
+	p.mu.Unlock()
+	p.exited.Wait()
+}
 
 // Map runs fn(ctx, i) for every i in [0, n) on a pool of Options.Workers
 // goroutines and returns the n results in index order. The first error

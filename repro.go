@@ -216,10 +216,11 @@ type Options struct {
 	Swap bool
 	// ParWindow switches RunCluster from event-by-event lockstep to
 	// parallel-in-time window execution: per-GPU engines run independently
-	// inside conservative time windows on this many workers, with a
-	// deterministic merge at every window boundary. Results are
-	// byte-identical to the lockstep reference at any value (0 = lockstep);
-	// a run with Resilience armed always uses lockstep.
+	// inside conservative time windows on this many workers (at most
+	// GOMAXPROCS, the calling goroutine among them), with a deterministic
+	// merge at every window boundary. Results are byte-identical to the
+	// lockstep reference at any value (0 = lockstep); a run with Resilience
+	// armed always uses lockstep.
 	ParWindow int
 	// WarmStart, when positive, has RunCluster first play a warmup stream of
 	// this duration through a throwaway fleet and carry the dispatcher's
