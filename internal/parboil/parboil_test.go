@@ -2,6 +2,7 @@ package parboil
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/gpu"
@@ -203,5 +204,26 @@ func TestGPUTimeOrderingRoughlyMatchesClasses(t *testing.T) {
 				t.Errorf("LONG app %s has less GPU time than SHORT app %s", l, s)
 			}
 		}
+	}
+}
+
+// TestScaledLBMIsOneBurstPerGap pins the fleet shape of lbm: scaled by 1<<20
+// it keeps one launch, and the 99 CPU segments whose launches are dropped
+// fold into one 99 ns burst instead of 99 phases of 1 ns.
+func TestScaledLBMIsOneBurstPerGap(t *testing.T) {
+	app, err := App("lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := app.Scale(1 << 20).Ops
+	want := []trace.Op{
+		{Kind: trace.OpH2D, Bytes: 12},
+		{Kind: trace.OpCPU, Dur: 1},
+		{Kind: trace.OpLaunch},
+		{Kind: trace.OpCPU, Dur: 99},
+		{Kind: trace.OpD2H, Bytes: 12},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("lbm.Scale(1<<20) ops = %v, want %v", got, want)
 	}
 }

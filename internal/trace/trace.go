@@ -257,10 +257,19 @@ func (a *App) TotalCPUTime() sim.Time {
 
 // Scale returns a copy of the app with every kernel's thread-block count and
 // number of launches divided by factor (rounded up, minimum 1), and transfer
-// sizes and CPU segments divided likewise. Per-thread-block statistics (time,
-// registers, shared memory) are preserved, so preemption latencies and
-// occupancy — the quantities that drive the paper's results — are unchanged;
-// only absolute makespans shrink. Used to keep tests and benchmarks fast.
+// sizes divided likewise. Per-thread-block statistics (time, registers,
+// shared memory) are preserved, so preemption latencies and occupancy — the
+// quantities that drive the paper's results — are unchanged; only absolute
+// makespans shrink. Used to keep tests and benchmarks fast.
+//
+// Each CPU segment is divided by factor (rounded up; zero stays zero), and a
+// segment that would follow another CPU segment once the dropped launches are
+// gone is folded into it: the scaled trace keeps the coarse CPU bursts
+// between CUDA calls that the paper's traces record, not one phase per
+// original segment. The folded duration is the sum of the per-segment
+// rounded durations, so TotalCPUTime is the same as without folding. A
+// factor of 1 or less returns a plain Clone, with adjacent CPU segments left
+// as they are.
 func (a *App) Scale(factor int) *App {
 	if factor <= 1 {
 		return a.Clone()
@@ -282,6 +291,10 @@ func (a *App) Scale(factor int) *App {
 			}
 		case OpCPU:
 			op.Dur = sim.Time(ceilDiv64(int64(op.Dur), int64(factor)))
+			if n := len(kept); n > 0 && kept[n-1].Kind == OpCPU {
+				kept[n-1].Dur += op.Dur
+				continue
+			}
 			kept = append(kept, op)
 		case OpH2D, OpD2H:
 			op.Bytes = ceilDiv64(op.Bytes, int64(factor))

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -164,6 +165,126 @@ func TestScaleFactorOneIsClone(t *testing.T) {
 	s.Ops[0].Bytes = 7777
 	if a.Ops[0].Bytes == 7777 {
 		t.Fatal("Scale(1) did not copy")
+	}
+}
+
+// scaleOpsUnfolded is Scale's op rewrite without the CPU folding: launches
+// thinned the same way, transfers and CPU segments divided by factor (rounded
+// up, zero stays zero), every CPU segment kept where it stands.
+func scaleOpsUnfolded(a *App, factor int) []Op {
+	f := int64(factor)
+	seen := make([]int, len(a.Kernels))
+	var out []Op
+	for _, op := range a.Ops {
+		switch op.Kind {
+		case OpLaunch:
+			seen[op.Kernel]++
+			if (seen[op.Kernel]-1)%factor != 0 {
+				continue
+			}
+		case OpCPU:
+			if op.Dur > 0 {
+				op.Dur = sim.Time((int64(op.Dur) + f - 1) / f)
+			}
+		case OpH2D, OpD2H:
+			op.Bytes = (op.Bytes + f - 1) / f
+		}
+		out = append(out, op)
+	}
+	return out
+}
+
+// foldCPU merges each run of adjacent CPU ops into its first op, summing the
+// durations.
+func foldCPU(ops []Op) []Op {
+	var out []Op
+	for _, op := range ops {
+		if n := len(out); op.Kind == OpCPU && n > 0 && out[n-1].Kind == OpCPU {
+			out[n-1].Dur += op.Dur
+			continue
+		}
+		out = append(out, op)
+	}
+	return out
+}
+
+// checkScale scales a valid app and checks the result against the unfolded
+// rewrite: it must validate; a factor of at most 1 must leave the ops as
+// they are; otherwise the ops must be the unfolded rewrite with adjacent CPU
+// ops folded, so the CPU total, the non-CPU ops in order and the per-kernel
+// launch counts all match it and no two CPU ops are adjacent.
+func checkScale(t *testing.T, in *App, factor int) *App {
+	t.Helper()
+	out := in.Scale(factor)
+	if err := out.Validate(); err != nil {
+		t.Fatalf("Scale(%d) produced an invalid app: %v", factor, err)
+	}
+	if factor <= 1 {
+		if !reflect.DeepEqual(out.Ops, in.Ops) {
+			t.Fatalf("Scale(%d) rewrote the ops:\n got %v\nwant %v", factor, out.Ops, in.Ops)
+		}
+		return out
+	}
+	ref := &App{Kernels: in.Kernels, Ops: scaleOpsUnfolded(in, factor)}
+	if got, want := out.TotalCPUTime(), ref.TotalCPUTime(); got != want {
+		t.Fatalf("Scale(%d) CPU time = %v, want the per-op rounded sum %v", factor, got, want)
+	}
+	if got, want := out.LaunchCounts(), ref.LaunchCounts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Scale(%d) launch counts = %v, want %v", factor, got, want)
+	}
+	for i := 1; i < len(out.Ops); i++ {
+		if out.Ops[i-1].Kind == OpCPU && out.Ops[i].Kind == OpCPU {
+			t.Fatalf("Scale(%d) left CPU ops %d and %d adjacent", factor, i-1, i)
+		}
+	}
+	if want := foldCPU(ref.Ops); !reflect.DeepEqual(out.Ops, want) {
+		t.Fatalf("Scale(%d) ops:\n got %v\nwant %v", factor, out.Ops, want)
+	}
+	return out
+}
+
+// cpuHeavyApp interleaves CPU segments of assorted lengths (zero, shorter and
+// longer than the factors used) with launches of two kernels, transfers,
+// syncs and back-to-back CPU segments.
+func cpuHeavyApp() *App {
+	a := validApp()
+	a.Kernels = append(a.Kernels, validKernel())
+	a.Kernels[1].Name = "k1"
+	a.Ops = []Op{{Kind: OpCPU, Dur: 3}, {Kind: OpCPU, Dur: 0}, {Kind: OpH2D, Bytes: 1 << 20}}
+	for i := 0; i < 60; i++ {
+		a.Ops = append(a.Ops,
+			Op{Kind: OpCPU, Dur: sim.Time(1 + 997*i)},
+			Op{Kind: OpLaunch, Kernel: i % 2, Stream: i % 3})
+		if i%7 == 0 {
+			a.Ops = append(a.Ops, Op{Kind: OpCPU, Dur: sim.Microseconds(10)}, Op{Kind: OpSync})
+		}
+	}
+	a.Ops = append(a.Ops, Op{Kind: OpCPU, Dur: 5}, Op{Kind: OpD2H, Bytes: 4096}, Op{Kind: OpCPU, Dur: 0})
+	return a
+}
+
+func TestScaleFoldsAdjacentCPUOps(t *testing.T) {
+	for _, f := range []int{2, 24, 1 << 20} {
+		checkScale(t, cpuHeavyApp(), f)
+	}
+}
+
+func TestScaleKeepsZeroCPUZero(t *testing.T) {
+	a := validApp()
+	a.Ops = []Op{
+		{Kind: OpCPU}, {Kind: OpLaunch}, {Kind: OpCPU}, {Kind: OpLaunch}, {Kind: OpCPU}, {Kind: OpCPU},
+	}
+	out := checkScale(t, a, 2) // the second launch goes, so the last three CPU ops fold
+	want := []Op{{Kind: OpCPU}, {Kind: OpLaunch}, {Kind: OpCPU}}
+	if !reflect.DeepEqual(out.Ops, want) {
+		t.Fatalf("Scale(2) ops = %v, want %v", out.Ops, want)
+	}
+}
+
+func TestScaleFactorOneKeepsAdjacentCPU(t *testing.T) {
+	in := cpuHeavyApp()
+	for _, f := range []int{1, 0, -3} {
+		checkScale(t, in, f)
 	}
 }
 

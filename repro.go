@@ -125,7 +125,9 @@ func (a *App) AppClass() string { return a.t.Class2.String() }
 
 // Scale returns a copy of the application scaled down by factor (thread
 // blocks, launches, transfers and CPU time all shrink; per-thread-block
-// statistics are preserved). Useful for fast experimentation.
+// statistics are preserved). CPU segments left back to back by the dropped
+// launches are folded into one burst of their summed scaled time. Useful for
+// fast experimentation.
 func (a *App) Scale(factor int) *App { return &App{t: a.t.Scale(factor)} }
 
 // Trace exposes the underlying trace (read-only by convention).
