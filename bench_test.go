@@ -462,12 +462,10 @@ func benchClusterOpts(b *testing.B) Options {
 // the parallel-in-time executor on N workers, and lockstep plus window=1/2/4/8
 // form the executor scaling curve (window=1 against lockstep is the window
 // protocol alone; the wider lines add workers on top). The jsq- lines dispatch
-// join-shortest-queue, where every placement reads fleet load, so the
-// windowed executor leans on the PCIe latency-floor lookahead instead of
-// pre-sharding — the comparison that prices serial dispatch decisions, with
-// jsq-lockstep plus jsq-window=1/2/8 as the lookahead's scaling curve.
-// Results are byte-identical within a dispatch policy — only the wall-clock
-// changes. The lockstep, window=8, jsq-lockstep and jsq-window=8 lines are
+// join-shortest-queue, where every placement reads fleet load; such runs take
+// the lockstep reference at any ParWindow, so the jsq-window=N lines check
+// that a ParWindow request costs a load-aware run nothing. Results are
+// byte-identical within a dispatch policy — only the wall-clock changes. The lockstep, window=8, jsq-lockstep and jsq-window=8 lines are
 // gated by the benchcheck CI job via bench_baseline.json; the others are
 // ungated curve points.
 func BenchmarkRunCluster(b *testing.B) {

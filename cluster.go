@@ -224,9 +224,9 @@ type ClusterResult struct {
 	// Executor names the execution strategy the run used: "parallel-window"
 	// when Options.ParWindow engaged the parallel-in-time loop, "lockstep"
 	// for the event-by-event reference — including when a positive ParWindow
-	// fell back because the run armed Options.Resilience (the lifecycle
-	// manager couples nodes through the control engine mid-window). The two
-	// strategies produce byte-identical results; this field only reports
+	// did not apply because the run dispatched by a load-aware policy or
+	// armed Options.Resilience (windows serve round-robin dispatch only). The
+	// two strategies produce byte-identical results; this field only reports
 	// which one ran.
 	Executor string
 	// Classes lists fleet-wide per-class outcomes in spec order (per-node

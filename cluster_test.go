@@ -73,9 +73,10 @@ func TestRunClusterSingleNodeDefault(t *testing.T) {
 }
 
 // TestRunClusterExecutor pins the executor surfacing: ParWindow selects the
-// parallel-window loop, a zero or negative value keeps the lockstep
-// reference, Resilience forces the documented lockstep fallback — and the
-// reported executor is the only field that may differ between the two.
+// parallel-window loop for round-robin dispatch, a zero or negative value
+// keeps the lockstep reference, Resilience and load-aware dispatch run
+// lockstep whatever ParWindow asks — and the reported executor is the only
+// field that may differ between the two.
 func TestRunClusterExecutor(t *testing.T) {
 	base := Options{
 		Policy:    PolicyPPQ,
@@ -83,7 +84,7 @@ func TestRunClusterExecutor(t *testing.T) {
 		Seed:      3,
 		Arrivals:  openSpec(t),
 		Nodes:     3,
-		Dispatch:  DispatchJSQ,
+		Dispatch:  DispatchRoundRobin,
 	}
 	run := func(mut func(*Options)) *ClusterResult {
 		t.Helper()
@@ -120,6 +121,13 @@ func TestRunClusterExecutor(t *testing.T) {
 	})
 	if fallback.Executor != ExecutorLockstep {
 		t.Errorf("ParWindow with Resilience reports executor %q, want the lockstep fallback", fallback.Executor)
+	}
+	jsq := run(func(o *Options) {
+		o.ParWindow = 4
+		o.Dispatch = DispatchJSQ
+	})
+	if jsq.Executor != ExecutorLockstep {
+		t.Errorf("ParWindow with jsq dispatch reports executor %q, want lockstep", jsq.Executor)
 	}
 }
 

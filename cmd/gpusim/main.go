@@ -89,7 +89,7 @@ func main() {
 		slowF    = flag.Float64("slow-factor", 2, "fault injection: straggler service-time multiplier")
 		hbmF     = flag.String("hbm", "", "per-GPU device-memory capacity, e.g. 512MiB or 4GiB (default: the GPU spec's); admitted working sets are charged against it and oversubscription blocks admission")
 		swapF    = flag.Bool("swap", false, "swap oversubscribed contexts to host memory over PCIe instead of blocking admission (needs request working sets; see -hbm)")
-		parWin   = flag.Int("par-window", 0, "cluster runs: execute GPU engines in parallel-in-time windows on this many workers (0 = lockstep; output is byte-identical either way)")
+		parWin   = flag.Int("par-window", 0, "cluster runs: execute GPU engines in parallel-in-time windows on this many workers, for round-robin dispatch without resilience flags (0 = lockstep; output is byte-identical either way)")
 		warmup   = flag.Duration("warm-start", 0, "cluster runs: play a warmup stream of this duration first and carry the dispatcher's learned state into the measured run")
 		reps     = flag.Int("reps", 1, "simulate this many replicas of the workload under derived seeds")
 		parallel = flag.Int("parallel", runtime.NumCPU(), "concurrent replica simulations")
@@ -450,7 +450,7 @@ func runCluster(mode string, opts repro.Options) {
 		// On stderr so the report itself stays byte-identical across
 		// -par-window values, which the executors guarantee for the numbers.
 		fmt.Fprintf(os.Stderr, "note: -par-window %d requested but the run executed in lockstep: "+
-			"-resilience couples the GPUs through the control engine mid-window\n", opts.ParWindow)
+			"-par-window applies to round-robin dispatch without resilience flags\n", opts.ParWindow)
 	}
 	fmt.Printf("cluster: gpus=%d dispatch=%s policy=%s mechanism=%s arrivals=%s seed=%d",
 		len(res.Nodes), res.Dispatch, opts.Policy, orDefault(string(opts.Mechanism), "auto"), mode, opts.Seed)

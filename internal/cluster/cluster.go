@@ -100,10 +100,10 @@ type RunConfig struct {
 	// inside conservative time windows on this many workers (at most
 	// GOMAXPROCS, the calling goroutine among them), with a deterministic
 	// merge at every window boundary. Results are byte-identical to the
-	// lockstep path at any worker count; 0 keeps the lockstep reference. A
-	// run with the resilience layer armed always uses lockstep — cross-node
-	// completion coupling (hedge cancellation, breaker feedback) shrinks the
-	// safe lookahead to zero (see DESIGN.md).
+	// lockstep path at any worker count; 0 keeps the lockstep reference.
+	// Windows apply only to a LoadOblivious dispatcher (round-robin) with
+	// the resilience layer off, whose arrivals pre-shard; every other run
+	// uses lockstep (see Executor and DESIGN.md).
 	Parallel int
 	// Warmth, when non-nil, warm-starts the dispatcher from a snapshot of a
 	// previously drained fleet (see Cluster.Warmth), so a measurement run
@@ -191,12 +191,10 @@ type Node struct {
 	// Parallel-window scratch (see parallel.go). Inside a window only the
 	// owning worker touches these; the merge at the window boundary drains
 	// them on the cluster goroutine.
-	winBuf  []winEv    // completions buffered during the current window
-	winPos  int        // merge cursor into winBuf
-	winErr  error      // first admission error raised inside a window
-	shard   []shardEnt // pre-sharded arrivals awaiting engine insertion
-	resSeq  []uint64   // lookahead windows: per-batch-arrival reserved seq slots
-	lookRes bool       // node reserved seq slots in the current lookahead window
+	winBuf []winEv    // completions buffered during the current window
+	winPos int        // merge cursor into winBuf
+	winErr error      // first admission error raised inside a window
+	shard  []shardEnt // pre-sharded arrivals awaiting engine insertion
 }
 
 // Admitted returns the number of dispatch attempts placed on this node.
@@ -380,11 +378,7 @@ type Cluster struct {
 	// runs; see parallel.go).
 	parOn     bool
 	pool      *runner.Pool
-	oblivious bool       // dispatcher is LoadOblivious: arrivals pre-shard
-	lookOn    bool       // dispatcher is Lookahead: latency-floor windows
-	floorMin  sim.Time   // min dispatch floor over every possible target node
 	winActive []*Node    // per-window scratch: nodes with work in the window
-	batch     []shardEnt // lookahead scratch: the arrivals inside the window
 	winCounts []uint64   // per-window scratch: per-active-node step counts
 	finTimes  []sim.Time // final-window scratch: per-active-node drain times
 	// The current fan-out (see fanOut): which pass, its time bound, the
@@ -570,24 +564,13 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 		}
 		c.initResilience()
 	}
-	// The resilience layer couples node completions across the fleet at
-	// event granularity (hedge cancellation, breaker feedback), which
-	// shrinks the safe parallel lookahead to zero — it always runs on the
-	// lockstep reference.
-	c.parOn = rc.Parallel >= 1 && c.res == nil
-	_, c.oblivious = c.disp.(LoadOblivious)
-	// The latency-floor lookahead bound must hold for every node an arrival
-	// could land on — including nodes the autoscaler has yet to add, which
-	// use addCfg.
-	c.floorMin = c.addCfg.PCIe.DispatchFloor()
-	for _, n := range c.Nodes {
-		if n.floor < c.floorMin {
-			c.floorMin = n.floor
-		}
-	}
-	if la, ok := c.disp.(Lookahead); ok && !c.oblivious {
-		c.lookOn = lookaheadReadsSafe(la.LookaheadReads()) && c.floorMin > 0
-	}
+	// Windows pay only where arrivals pre-shard: a LoadOblivious dispatcher
+	// with the resilience layer off. A load-aware Pick would bound every
+	// window at the next arrival, and the resilience layer couples node
+	// completions across the fleet at event granularity (hedge
+	// cancellation, breaker feedback); both run on the lockstep reference.
+	_, oblivious := c.disp.(LoadOblivious)
+	c.parOn = rc.Parallel >= 1 && c.res == nil && oblivious
 	return c, nil
 }
 
@@ -600,21 +583,16 @@ const (
 	ExecutorParallelWindow = "parallel-window"
 )
 
-// Executor reports which execution strategy Run uses for this cluster. A
-// RunConfig.Parallel request with the resilience layer armed reports
-// ExecutorLockstep — the documented fallback (see RunConfig.Parallel).
+// Executor reports which execution strategy Run uses for this cluster:
+// ExecutorParallelWindow only for a RunConfig.Parallel request with a
+// LoadOblivious dispatcher and the resilience layer off, ExecutorLockstep
+// otherwise (see RunConfig.Parallel).
 func (c *Cluster) Executor() string {
 	if c.parOn {
 		return ExecutorParallelWindow
 	}
 	return ExecutorLockstep
 }
-
-// DispatchFloor returns the fleet-wide dispatch-path latency floor: the
-// minimum delay between any dispatch decision and its admission landing on
-// the chosen node's engine, conservatively min'd across every node type the
-// fleet can contain.
-func (c *Cluster) DispatchFloor() sim.Time { return c.floorMin }
 
 // Run simulates the arrival stream across the configured fleet and reports
 // per-node plus rolled-up SLO metrics. The simulation stops when every
@@ -737,9 +715,7 @@ func (c *Cluster) dispatch(i int) {
 // same timestamp already sees this request; the engine-side admission
 // (context allocation, process start) fires as a node event at the decision
 // time plus the node's dispatch-path latency floor — a dispatched request
-// cannot touch the device before its command crosses the PCIe link, and
-// modeling that delay is also what lets the parallel executor run nodes past
-// an arrival (see parallel.go).
+// cannot touch the device before its command crosses the PCIe link.
 func (c *Cluster) place(i int, at sim.Time) {
 	n := c.pickNode(i, at)
 	if n == nil {
@@ -820,9 +796,8 @@ func (c *Cluster) startRun(n *Node, i int) {
 			// dispatcher-visible counter (the node's in-flight population and
 			// memory demand as much as the fleet counter, Completed feedback
 			// and retirement) replays in deterministic merge order at the
-			// window boundary, so a lookahead Pick mid-batch sees exactly the
-			// completions lockstep would have shown it. In-window drain checks
-			// read liveLocal, which counts this buffered entry.
+			// window boundary. In-window drain checks read liveLocal, which
+			// counts this buffered entry.
 			n.winBuf = append(n.winBuf, winEv{
 				at: n.Sys.Eng.Now(), class: class, app: app, exec: exec,
 			})

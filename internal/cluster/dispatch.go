@@ -83,13 +83,13 @@ type WorkingSetAware interface {
 }
 
 // StateRead names one category of node state a load-aware dispatcher's Pick
-// consumes. Every category below is reconstructed exactly by the parallel
-// executor's window merge, which is what makes latency-floor lookahead
-// windows safe for dispatchers that read nothing else (see Lookahead and
-// parallel.go).
+// consumes. No executor reads these declarations: load-aware dispatch
+// always runs on the lockstep reference. They remain only because the
+// benchmark module's tracing wrappers forward them, and go once that
+// module stops mirroring them (ROADMAP, benchmark-change item).
 type StateRead int
 
-// The merge-reproducible node-state categories.
+// The node-state categories a Pick may declare.
 const (
 	// ReadInFlight is Node.InFlight — the outstanding-attempt count jsq,
 	// class-affinity and p2c minimize.
@@ -103,39 +103,16 @@ const (
 	// ReadCompletions is the Completed feedback stream — per-app service
 	// time estimators and any other learned state fed by completions.
 	ReadCompletions
-
-	numStateReads // count sentinel, keep last
 )
 
-// Lookahead is the opt-in latency-floor contract for load-aware dispatchers:
-// an implementation declares, via LookaheadReads, every node-state category
-// its Pick (and hooks) consume beyond the dispatcher's own internal state.
-// If all declared reads are merge-reproducible — today every StateRead is —
-// the parallel executor may run node engines past an arrival up to its
-// dispatch-path latency floor and replay the declared inputs in lockstep
-// order before running Pick, instead of hard-syncing the fleet at every
-// arrival (see parallel.go). Declaring reads the Pick does not make is
-// harmless; making reads it does not declare (wall-clock node internals,
-// engine peeks) breaks byte-identity with lockstep. A dispatcher that is
-// also LoadOblivious keeps the stronger pre-sharding path.
+// Lookahead lets a load-aware dispatcher declare, via LookaheadReads, every
+// node-state category its Pick (and hooks) consume. No executor reads it:
+// load-aware dispatch always runs on the lockstep reference. It remains
+// only because the benchmark module's tracing wrappers type-assert it, and
+// goes once that module stops mirroring it (ROADMAP, benchmark-change
+// item).
 type Lookahead interface {
 	LookaheadReads() []StateRead
-}
-
-// lookaheadReadsSafe reports whether a declared read set opts a dispatcher
-// into lookahead windows: non-empty and entirely within the known
-// merge-reproducible categories (an unknown value from a third-party
-// dispatcher falls back to hard-syncing at every arrival).
-func lookaheadReadsSafe(reads []StateRead) bool {
-	if len(reads) == 0 {
-		return false
-	}
-	for _, r := range reads {
-		if r < 0 || r >= numStateReads {
-			return false
-		}
-	}
-	return true
 }
 
 // NewDispatcher builds a built-in dispatch policy. The seed drives any
@@ -492,8 +469,7 @@ func (d *powerOfTwo) Name() string { return string(KindPowerOfTwo) }
 func (d *powerOfTwo) Reset(nodes, classes, apps int) { d.r = rng.New(d.seed) }
 
 // LookaheadReads declares the two sampled queue probes; the sample stream
-// itself is the dispatcher's own seeded state, consumed in arrival order —
-// which the micro-merge preserves.
+// itself is the dispatcher's own seeded state, consumed in arrival order.
 func (d *powerOfTwo) LookaheadReads() []StateRead { return []StateRead{ReadInFlight} }
 
 func (d *powerOfTwo) Pick(at sim.Time, class, app int, nodes []*Node) int {

@@ -24,7 +24,7 @@
 // each node's buffer already in its engine's firing order. After the merge
 // the cluster state is indistinguishable from having run lockstep to B.
 //
-// Three refinements make the windows long enough to matter:
+// Two refinements make the windows long enough to matter and exact:
 //
 // Pre-sharding. A LoadOblivious dispatcher's Pick reads nothing but its own
 // internal state, so arrival dispatch stops being a serialization point: the
@@ -39,27 +39,6 @@
 // FIFO by insertion) verbatim. On a fixed fleet with no faults this makes
 // the whole run one window per control gap — or a single window.
 //
-// Latency-floor lookahead. A load-aware Pick at arrival time tA reads fleet
-// state — but every admission physically lands floor(n) after its decision
-// (the dispatch command must cross the node's PCIe link; see
-// pcie.Config.DispatchFloor and Cluster.place), so no decision made in
-// [tA, tA+floorMin) can perturb any node engine before tA+floorMin. A
-// Lookahead dispatcher declares that its Pick reads only state the boundary
-// merge reconstructs (in-flight counts, memory demand, completion feedback),
-// which makes this two-level soft-sync protocol safe: (1) run every node in
-// parallel to B = min(nextControl, tA+floorMin) — a hard-sync boundary would
-// have been tA itself; (2) without tearing down the worker pool, replay the
-// window serially as an "arrival micro-merge": buffered completions and the
-// batched arrivals interleave in lockstep total order (arrivals before
-// same-time node events), each Pick seeing exactly the counters lockstep
-// would have shown it; (3) schedule each admission at its decision time plus
-// floor(n) — at or after B, so the already-advanced engine accepts it — on a
-// sequence slot the node reserved when its in-window run crossed the
-// arrival's timestamp (sim.Engine.ReserveSeq), so same-time ties fire in the
-// exact lockstep order. Node-local counters (in-flight, per-app, memory
-// demand) defer to the merge along with the fleet effects; in-window drain
-// checks read Node.liveLocal, which counts the buffered completions.
-//
 // Final windows. Once the stream is exhausted, the run must stop at the
 // exact completion that resolves the last request — lockstep checks done()
 // before every event, leaving residual events (timeslice timers and the
@@ -73,10 +52,13 @@
 // stays put. If some node was still busy at the bound, no global finish
 // happened in the window and everyone simply tops up to the bound.
 //
-// The resilience layer is the counterexample to all of this: a completion
-// there resolves hedges on other nodes, feeds breakers and re-dispatches
-// queued work immediately, so the safe lookahead collapses to zero and the
-// run stays on the lockstep reference (see DESIGN.md).
+// Only pre-sharded runs take windows. A load-aware Pick reads fleet load, so
+// the next arrival bounds every window and the serial merge between short
+// windows costs what the parallel node work saves; such runs stay on the
+// lockstep reference (DESIGN.md "Why load-aware dispatch runs lockstep"). So
+// does every run with the resilience layer armed: a completion there
+// resolves hedges on other nodes, feeds breakers and re-dispatches queued
+// work immediately, so no window is safe.
 package cluster
 
 import (
@@ -109,16 +91,18 @@ type shardEnt struct {
 // pre-computes dispatch decisions for whole arrival batches (the eligible
 // set is constant between control events), which extends windows to the
 // control horizon. Round-robin qualifies; any policy reading
-// Node.InFlight or observing Completed does not.
+// Node.InFlight or observing Completed does not, and runs lockstep whatever
+// RunConfig.Parallel asks for.
 type LoadOblivious interface {
 	// LoadObliviousDispatch is a marker; implementations do nothing.
 	LoadObliviousDispatch()
 }
 
-// parLoop is the parallel-window equivalent of loop: identical control,
-// arrival and MaxSimTime handling, but contiguous runs of node events
-// execute as parallel windows with a deterministic merge. Byte-identical to
-// loop at any RunConfig.Parallel value.
+// parLoop is the parallel-window equivalent of loop for a LoadOblivious
+// dispatcher: identical control, arrival and MaxSimTime handling, but
+// arrivals pre-shard and contiguous runs of node events execute as parallel
+// windows with a deterministic merge. Byte-identical to loop at any
+// RunConfig.Parallel value.
 func (c *Cluster) parLoop() error {
 	var processed uint64
 	for c.err == nil {
@@ -144,37 +128,19 @@ func (c *Cluster) parLoop() error {
 			c.ctl.Step()
 			c.refreshCtl()
 			processed++
-		case c.lookOn && hasA:
-			// Latency-floor lookahead: run every node to
-			// min(nextControl, tA+floorMin), batching the arrivals inside
-			// the floor, then micro-merge arrivals and completions serially.
-			steps, progressed := c.runLookahead(c.lookBound(tA))
-			if !progressed {
-				// Nothing pending at or before the horizon (the remaining
-				// arrivals land beyond it) — exactly lockstep's stop.
-				c.now = c.rc.MaxSimTime
-				return c.err
-			}
-			processed += steps
 		case hasA && (ni < 0 || tA <= tN):
 			if tA > c.rc.MaxSimTime {
 				c.now = c.rc.MaxSimTime
 				return c.err
 			}
-			if c.oblivious {
-				// Batch every arrival up to the control horizon and run the
-				// whole gap as one window.
-				bound := c.windowBound(false, 0)
-				c.preShard(bound)
-				if c.err != nil {
-					return c.err
-				}
-				processed += c.runWindow(bound, c.next >= len(c.tr.Arrivals))
-				continue
+			// Batch every arrival up to the control horizon and run the
+			// whole gap as one window.
+			bound := c.windowBound(false, 0)
+			c.preShard(bound)
+			if c.err != nil {
+				return c.err
 			}
-			c.now = tA
-			c.dispatch(c.next)
-			c.next++
+			processed += c.runWindow(bound, c.next >= len(c.tr.Arrivals))
 		case ni >= 0:
 			if tN > c.rc.MaxSimTime {
 				c.now = c.rc.MaxSimTime
@@ -188,143 +154,7 @@ func (c *Cluster) parLoop() error {
 	return c.err
 }
 
-// lookBound returns the latency-floor lookahead horizon for a window whose
-// earliest undispatched arrival is at tA: the next control event still
-// hard-syncs, but the arrival itself does not — no placement decided in
-// [tA, tA+floorMin) can land on any node engine before tA+floorMin.
-func (c *Cluster) lookBound(tA sim.Time) sim.Time {
-	bound := c.rc.MaxSimTime + 1
-	if c.ctlHas && c.ctlAt < bound {
-		bound = c.ctlAt
-	}
-	if tA+c.floorMin < bound {
-		bound = tA + c.floorMin
-	}
-	return bound
-}
-
-// runLookahead executes one latency-floor lookahead window: batch the
-// arrivals strictly before bound, run every node with pending events in
-// parallel to the bound (reserving a sequence slot per batched arrival at
-// each arrival-time crossing), then micro-merge the batch and the buffered
-// completions serially in lockstep total order. Reports the node events
-// fired and whether the window made any progress.
-func (c *Cluster) runLookahead(bound sim.Time) (uint64, bool) {
-	c.batch = c.batch[:0]
-	for c.next < len(c.tr.Arrivals) {
-		at := c.tr.Arrivals[c.next].At
-		if at >= bound {
-			break
-		}
-		c.batch = append(c.batch, shardEnt{i: c.next, at: at})
-		c.next++
-	}
-	active := c.winActive[:0]
-	for i, n := range c.Nodes {
-		if c.nodeQ.before(i, bound) {
-			active = append(active, n)
-		}
-	}
-	c.winActive = active
-	if len(active) == 0 && len(c.batch) == 0 {
-		return 0, false
-	}
-	c.stepCounts(len(active))
-	steps := c.fanOut(winLook, bound)
-	for _, n := range active {
-		c.refresh(n.Index)
-	}
-	c.mergeLookahead()
-	for _, n := range active {
-		n.lookRes = false
-	}
-	return steps, true
-}
-
-// runNodeLook fires node n's events strictly before bound, reserving one of
-// the engine's sequence slots per batched arrival the moment the engine
-// crosses that arrival's timestamp — the exact point the lockstep loop would
-// have scheduled the admission, whose seq the reservation therefore
-// captures. Every node reserves for every batched arrival (placement is not
-// yet decided); unspent slots are harmless.
-func (c *Cluster) runNodeLook(n *Node, bound sim.Time) uint64 {
-	eng := n.Sys.Eng
-	batch := c.batch
-	if cap(n.resSeq) < len(batch) {
-		n.resSeq = make([]uint64, len(batch))
-	}
-	n.resSeq = n.resSeq[:len(batch)]
-	n.lookRes = true
-	var steps uint64
-	bp := 0
-	for {
-		t, ok := eng.Peek()
-		for bp < len(batch) && (!ok || batch[bp].at <= t) {
-			n.resSeq[bp] = eng.ReserveSeq()
-			bp++
-		}
-		if !ok || t >= bound {
-			break
-		}
-		eng.Step()
-		steps++
-	}
-	for bp < len(batch) {
-		n.resSeq[bp] = eng.ReserveSeq()
-		bp++
-	}
-	return steps
-}
-
-// mergeLookahead is the arrival micro-merge: replay the batched arrivals and
-// the buffered completions in lockstep total order — ascending time, an
-// arrival before a same-time completion (lockstep fires arrivals before node
-// events), completions tying by node index. Each Pick runs against exactly
-// the counters lockstep would have shown it; each admission is scheduled at
-// decision time + floor(n) on the sequence slot the chosen node reserved.
-func (c *Cluster) mergeLookahead() {
-	bp := 0
-	for c.err == nil {
-		var best *Node
-		for _, n := range c.winActive {
-			if n.winPos < len(n.winBuf) && (best == nil || n.winBuf[n.winPos].at < best.winBuf[best.winPos].at) {
-				best = n
-			}
-		}
-		if bp < len(c.batch) && (best == nil || c.batch[bp].at <= best.winBuf[best.winPos].at) {
-			a := c.batch[bp]
-			c.now = a.at
-			c.lookPlace(a.i, a.at, bp)
-			bp++
-			continue
-		}
-		if best == nil {
-			break
-		}
-		c.applyWinEv(best)
-	}
-	c.resetWinBufs(c.winActive)
-}
-
-// lookPlace is place for a micro-merged arrival: identical protocol, but the
-// admission lands on the reserved sequence slot when the chosen node ran in
-// this window (an idle node's sequence counter already matches lockstep's,
-// so a plain schedule is exact there).
-func (c *Cluster) lookPlace(i int, at sim.Time, bp int) {
-	n := c.pickNode(i, at)
-	if n == nil {
-		return
-	}
-	c.placeOn(n, i, at)
-	if n.lookRes {
-		n.Sys.Eng.AtSeqFunc(at+n.floor, n.resSeq[bp], admitEvent, n, int64(i))
-	} else {
-		n.Sys.Eng.AtFunc(at+n.floor, admitEvent, n, int64(i))
-	}
-	c.refresh(n.Index)
-}
-
-// windowBound returns the conservative lookahead horizon: the earliest
+// windowBound returns the conservative window horizon: the earliest
 // moment a cross-node interaction could occur. Events strictly before the
 // bound are safe to run node-locally.
 func (c *Cluster) windowBound(hasA bool, tA sim.Time) sim.Time {
@@ -374,7 +204,12 @@ func (c *Cluster) runWindow(bound sim.Time, final bool) uint64 {
 	if len(active) == 0 {
 		return 0
 	}
-	c.stepCounts(len(active))
+	// Zero the per-active-node step counts the passes accumulate into.
+	if cap(c.winCounts) < len(active) {
+		c.winCounts = make([]uint64, len(active))
+	}
+	c.winCounts = c.winCounts[:len(active)]
+	clear(c.winCounts)
 	var steps uint64
 	if final {
 		steps = c.runFinal(active, bound)
@@ -388,32 +223,21 @@ func (c *Cluster) runWindow(bound sim.Time, final bool) uint64 {
 	return steps
 }
 
-// stepCounts zeroes the per-active-node step-count scratch and sizes it to
-// n — windows fire millions of times per run, so the buffer is reused
-// rather than reallocated.
-func (c *Cluster) stepCounts(n int) {
-	if cap(c.winCounts) < n {
-		c.winCounts = make([]uint64, n)
-	}
-	c.winCounts = c.winCounts[:n]
-	clear(c.winCounts)
-}
-
 // winPass names the per-node work one fan-out runs over the active nodes.
 type winPass uint8
 
 const (
-	winLook     winPass = iota // lookahead: runNodeLook to the bound
-	winTo                      // runNodeTo the bound
-	winDrain                   // final pass one: runNodeDrain
+	winTo       winPass = iota // runNodeTo the bound
+	winDrain                   // final pass one: runNodeTo the bound or the node's drain
 	winResidual                // final pass two: replay the residual events around T*
 )
 
 // fanOut runs pass over every active node on the window pool (inline when
 // the pool has one participant or the window touches a single node) and
 // returns the window's step count so far — passes accumulate into the
-// counts stepCounts zeroed when the window began. The pass parameters live on the Cluster and the pool's job is a
-// method value bound once per run, so a window allocates nothing.
+// counts runWindow zeroed when the window began. The pass parameters live
+// on the Cluster and the pool's job is a method value bound once per run,
+// so a window allocates nothing.
 func (c *Cluster) fanOut(pass winPass, bound sim.Time) uint64 {
 	c.winPass, c.winBound = pass, bound
 	c.pool.Run(len(c.winActive), c.runActiveFn)
@@ -430,16 +254,14 @@ func (c *Cluster) fanOut(pass winPass, bound sim.Time) uint64 {
 func (c *Cluster) runActive(i int) {
 	n := c.winActive[i]
 	switch c.winPass {
-	case winLook:
-		c.winCounts[i] += c.runNodeLook(n, c.winBound)
 	case winTo:
-		c.winCounts[i] += c.runNodeTo(n, c.winBound)
+		c.winCounts[i] += c.runNodeTo(n, c.winBound, nil)
 	case winDrain:
 		c.finTimes[i] = -1
 		if n.liveLocal() == 0 && len(n.shard) == 0 {
 			return
 		}
-		c.winCounts[i] += c.runNodeDrain(n, c.winBound, &c.finTimes[i])
+		c.winCounts[i] += c.runNodeTo(n, c.winBound, &c.finTimes[i])
 	case winResidual:
 		switch {
 		case n.Index < c.finNode:
@@ -455,35 +277,13 @@ func (c *Cluster) runActive(i int) {
 // time t is inserted into the engine the moment the engine's next pending
 // event is at or after t (or the engine is idle), exactly when the lockstep
 // loop would have called Eng.At — so equal-time events keep their FIFO
-// insertion order and the run stays byte-identical.
-func (c *Cluster) runNodeTo(n *Node, bound sim.Time) uint64 {
-	eng := n.Sys.Eng
-	var steps uint64
-	sp := 0
-	for {
-		t, ok := eng.Peek()
-		for sp < len(n.shard) && (!ok || n.shard[sp].at <= t) {
-			s := n.shard[sp]
-			sp++
-			eng.AtFunc(s.at+n.floor, admitEvent, n, int64(s.i))
-			t, ok = eng.Peek()
-		}
-		if !ok || t >= bound {
-			break
-		}
-		eng.Step()
-		steps++
-	}
-	n.shard = n.shard[:0]
-	return steps
-}
-
-// runNodeDrain is runNodeTo for pass one of a final window: it additionally
-// stops the moment the node's own in-flight population hits zero (liveLocal:
+// insertion order and the run stays byte-identical. A non-nil fin marks
+// pass one of a final window: the run also stops the moment the node's own
+// in-flight population hits zero with its shard consumed (liveLocal:
 // completions buffered for the merge count), recording the draining
-// completion's time in *fin (which stays negative if the node was still busy
-// at the bound).
-func (c *Cluster) runNodeDrain(n *Node, bound sim.Time, fin *sim.Time) uint64 {
+// completion's time in *fin (left alone if the node is still busy at the
+// bound).
+func (c *Cluster) runNodeTo(n *Node, bound sim.Time, fin *sim.Time) uint64 {
 	eng := n.Sys.Eng
 	var steps uint64
 	sp := 0
@@ -500,7 +300,7 @@ func (c *Cluster) runNodeDrain(n *Node, bound sim.Time, fin *sim.Time) uint64 {
 		}
 		eng.Step()
 		steps++
-		if n.liveLocal() == 0 && sp == len(n.shard) {
+		if fin != nil && n.liveLocal() == 0 && sp == len(n.shard) {
 			*fin = eng.Now()
 			break
 		}
@@ -565,47 +365,36 @@ func (c *Cluster) runFinal(active []*Node, bound sim.Time) uint64 {
 
 // mergeWindow replays the completions buffered during a window in the
 // lockstep total order — ascending time, ties by node index, each node's
-// buffer already engine-ordered — applying the node- and cluster-visible
-// effects the in-window callbacks deferred. It also promotes the
+// buffer already engine-ordered — applying the effects the in-window
+// callbacks deferred: the node counters, the fleet counter, the dispatcher
+// feedback, and the drained-node retirement check, which reads the same
+// counters lockstep's inline check would because a Draining node receives
+// no placements mid-window. It then clears the buffers and promotes the
 // lowest-index node's window error, keeping failures deterministic at any
 // worker count.
 func (c *Cluster) mergeWindow(active []*Node) {
 	for {
-		var best *Node
-		for _, n := range active {
-			if n.winPos < len(n.winBuf) && (best == nil || n.winBuf[n.winPos].at < best.winBuf[best.winPos].at) {
-				best = n
+		var n *Node
+		for _, m := range active {
+			if m.winPos < len(m.winBuf) && (n == nil || m.winBuf[m.winPos].at < n.winBuf[n.winPos].at) {
+				n = m
 			}
 		}
-		if best == nil {
+		if n == nil {
 			break
 		}
-		c.applyWinEv(best)
+		ev := &n.winBuf[n.winPos]
+		n.winPos++
+		c.now = ev.at
+		n.finished++
+		n.inflightByApp[ev.app]--
+		n.memDemand -= c.ws[ev.app]
+		c.finished++
+		c.disp.Completed(n.Index, ev.class, ev.app, ev.exec)
+		if n.state == NodeDraining && n.InFlight() == 0 {
+			c.retire(n, ev.at)
+		}
 	}
-	c.resetWinBufs(active)
-}
-
-// applyWinEv replays node n's next buffered completion: the deferred node
-// counters, the fleet counter, the dispatcher feedback, and the drained-node
-// retirement check — which reads the same counters lockstep's inline check
-// would, because a Draining node receives no placements mid-window.
-func (c *Cluster) applyWinEv(n *Node) {
-	ev := &n.winBuf[n.winPos]
-	n.winPos++
-	c.now = ev.at
-	n.finished++
-	n.inflightByApp[ev.app]--
-	n.memDemand -= c.ws[ev.app]
-	c.finished++
-	c.disp.Completed(n.Index, ev.class, ev.app, ev.exec)
-	if n.state == NodeDraining && n.InFlight() == 0 {
-		c.retire(n, ev.at)
-	}
-}
-
-// resetWinBufs clears the window buffers and promotes the lowest-index
-// node's window error.
-func (c *Cluster) resetWinBufs(active []*Node) {
 	for _, n := range active {
 		n.winBuf = n.winBuf[:0]
 		n.winPos = 0

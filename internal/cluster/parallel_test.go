@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,9 +11,10 @@ import (
 )
 
 // TestParallelWindowMatchesLockstep is the property the whole parallel-in-
-// time design rests on: a windowed run is byte-identical to the lockstep
-// reference at any worker count. It sweeps the chaos grid — every dispatch
-// policy, all four preemption mechanisms, kill rates from none through
+// time design rests on: a run with Parallel set is byte-identical to the
+// lockstep reference at any worker count. It sweeps the chaos grid — every
+// dispatch policy (round-robin takes windows, the load-aware ones run
+// lockstep), all four preemption mechanisms, kill rates from none through
 // aggressive with stragglers on alternating trials, behind an active
 // autoscaler — and deep-compares the full Result (counters, per-node
 // lifecycles, latency sketches, control-plane tallies) between Parallel = 0
@@ -82,68 +84,73 @@ func TestParallelWindowMatchesLockstep(t *testing.T) {
 	}
 }
 
-// TestLookaheadEngages pins the latency-floor wiring: every load-aware
-// dispatcher declares its window reads and engages the lookahead executor,
-// while load-oblivious round-robin keeps the pre-sharding fast path (lookOn
-// off — it never windows at arrivals in the first place). The safe lookahead
-// must equal the PCIe dispatch floor minimized across the fleet, including
-// the autoscaler's add-node config.
-func TestLookaheadEngages(t *testing.T) {
-	tr := testTrace(t, 40000, 63)
+// TestExecutorSelection pins the fleet's one executor rule and its
+// contract. Across every dispatcher kind, with and without Parallel, at the
+// default and at a zero PCIe dispatch floor, with the resilience layer off
+// and on, all under node kills: only round-robin (LoadOblivious) with
+// Parallel set and resilience off runs the parallel-window executor, and
+// every run deep-equals its lockstep counterpart.
+func TestExecutorSelection(t *testing.T) {
+	tr := testTrace(t, 40000, 67)
 	for ki, kind := range Kinds() {
-		d, err := NewDispatcher(kind, uint64(ki+1))
-		if err != nil {
-			t.Fatal(err)
+		for _, zeroFloor := range []bool{false, true} {
+			for _, resilient := range []bool{false, true} {
+				name := fmt.Sprintf("%s/zero-floor=%v/resilience=%v", kind, zeroFloor, resilient)
+				mkRC := func(parallel int) RunConfig {
+					d, err := NewDispatcher(kind, uint64(ki+1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					rc := testRunConfig(3, d)
+					if zeroFloor {
+						rc.Sys.PCIe.IssueLatency, rc.Sys.PCIe.BurstOverhead = 0, 0
+					}
+					if resilient {
+						rc.Resilience = resilienceSpec()
+					}
+					rc.Faults = &FaultSpec{KillRate: 1500, Downtime: 300 * sim.Microsecond}
+					rc.Parallel = parallel
+					return rc
+				}
+				var ref *Result
+				for _, parallel := range []int{0, 2} {
+					c, err := New(tr, mkRC(parallel))
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					want := ExecutorLockstep
+					if parallel > 0 && kind == KindRoundRobin && !resilient {
+						want = ExecutorParallelWindow
+					}
+					if got := c.Executor(); got != want {
+						t.Errorf("%s: Parallel=%d runs %q, want %q", name, parallel, got, want)
+					}
+					res, err := c.Run()
+					if err != nil {
+						t.Fatalf("%s: Parallel=%d: %v", name, parallel, err)
+					}
+					if ref == nil {
+						ref = res
+					} else if !reflect.DeepEqual(ref, res) {
+						t.Errorf("%s: Parallel=%d diverged from lockstep: completed %d/%d end %v/%v",
+							name, parallel, ref.Completed, res.Completed, ref.EndTime, res.EndTime)
+					}
+				}
+			}
 		}
-		rc := testRunConfig(3, d)
-		rc.Parallel = 2
-		c, err := New(tr, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Executor() != ExecutorParallelWindow {
-			t.Fatalf("%s: executor %q with Parallel set", kind, c.Executor())
-		}
-		want := rc.Sys.PCIe.DispatchFloor()
-		if want <= 0 {
-			t.Fatal("default PCIe config has no dispatch floor; the lookahead is untestable")
-		}
-		if c.DispatchFloor() != want {
-			t.Errorf("%s: fleet floor %v, want the PCIe dispatch floor %v", kind, c.DispatchFloor(), want)
-		}
-		_, oblivious := any(d).(LoadOblivious)
-		la, aware := any(d).(Lookahead)
-		if !oblivious && !aware {
-			t.Errorf("%s: load-aware dispatcher declares no lookahead reads; it windows at every arrival", kind)
-		}
-		if aware && !lookaheadReadsSafe(la.LookaheadReads()) {
-			t.Errorf("%s: LookaheadReads %v not within the merge-reconstructible set", kind, la.LookaheadReads())
-		}
-		if c.lookOn == oblivious {
-			t.Errorf("%s: lookOn = %v with oblivious = %v", kind, c.lookOn, oblivious)
-		}
-	}
-
-	// The lockstep reference never reports the parallel-window executor.
-	c, err := New(tr, testRunConfig(3, NewJSQ()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Executor() != ExecutorLockstep {
-		t.Errorf("lockstep cluster reports executor %q", c.Executor())
 	}
 }
 
-// TestLookaheadMemoryPressureMatchesLockstep drives the lookahead executor
-// through the memory ledger's hardest regime: a heterogeneous scarce-HBM
-// fleet where placements block (or swap) on device memory, so the
-// merge-replayed memDemand releases feed straight back into
-// least-loaded-fits decisions. Both memory-aware and memory-blind dispatch
-// must reproduce lockstep byte-for-byte at every committed worker count, in
-// both oversubscription disciplines.
+// TestLookaheadMemoryPressureMatchesLockstep pins Parallel runs through the
+// memory ledger's hardest regime: a heterogeneous scarce-HBM fleet where
+// placements block (or swap) on device memory. Round-robin runs it as
+// pre-sharded windows, whose merge-replayed memDemand releases must land
+// exactly where lockstep's did; memory-aware and memory-blind load-aware
+// dispatch run lockstep. Every kind must reproduce lockstep byte-for-byte
+// at every committed worker count, in both oversubscription disciplines.
 func TestLookaheadMemoryPressureMatchesLockstep(t *testing.T) {
 	tr := memTrace(t, 60000, 64)
-	for _, kind := range []Kind{KindLeastLoaded, KindLeastLoadedFits} {
+	for _, kind := range []Kind{KindRoundRobin, KindLeastLoaded, KindLeastLoadedFits} {
 		for _, swap := range []bool{false, true} {
 			mkRC := func(parallel int) RunConfig {
 				d, err := NewDispatcher(kind, 9)
@@ -213,72 +220,14 @@ func TestParallelPreShardMatchesLockstep(t *testing.T) {
 	}
 }
 
-// TestParallelHardSyncMatchesLockstep covers parLoop's per-arrival hard
-// sync, the path for a load-aware dispatcher the latency-floor lookahead
-// cannot serve. It is reached two ways: a fleet whose dispatch floor is zero
-// (every dispatcher kind, with kills so control events interleave), and a
-// dispatcher that declares neither LoadOblivious nor Lookahead (at the
-// default floor). Both must reproduce lockstep at every worker count.
-func TestParallelHardSyncMatchesLockstep(t *testing.T) {
-	tr := testTrace(t, 40000, 67)
-	check := func(name string, mk func() Dispatcher, zeroFloor bool) {
-		mkRC := func(parallel int) RunConfig {
-			rc := testRunConfig(3, mk())
-			if zeroFloor {
-				rc.Sys.PCIe.IssueLatency, rc.Sys.PCIe.BurstOverhead = 0, 0
-			}
-			rc.Faults = &FaultSpec{KillRate: 1500, Downtime: 300 * sim.Microsecond}
-			rc.Parallel = parallel
-			return rc
-		}
-		ref, err := Run(tr, mkRC(0))
-		if err != nil {
-			t.Fatalf("%s: lockstep: %v", name, err)
-		}
-		for _, workers := range []int{1, 4} {
-			c, err := New(tr, mkRC(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if zeroFloor && c.DispatchFloor() != 0 {
-				t.Fatalf("%s: fleet floor %v with zero PCIe latencies", name, c.DispatchFloor())
-			}
-			if c.lookOn {
-				t.Fatalf("%s: lookahead engaged; the hard-sync path is untested", name)
-			}
-			par, err := c.Run()
-			if err != nil {
-				t.Fatalf("%s: parallel(%d): %v", name, workers, err)
-			}
-			if !reflect.DeepEqual(ref, par) {
-				t.Errorf("%s: parallel(%d) diverged from lockstep: completed %d/%d end %v/%v",
-					name, workers, ref.Completed, par.Completed, ref.EndTime, par.EndTime)
-			}
-		}
-	}
-	for ki, kind := range Kinds() {
-		check(string(kind), func() Dispatcher {
-			d, err := NewDispatcher(kind, uint64(ki+1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}, true)
-	}
-	check("plain-jsq", func() Dispatcher { return plainDispatcher{NewJSQ()} }, false)
-}
-
-// plainDispatcher hides every optional interface of the dispatcher it wraps.
-type plainDispatcher struct{ Dispatcher }
-
 // TestParallelResilienceFallsBackToLockstep pins the documented safety
-// fallback: with the request-lifecycle manager armed the safe lookahead is
-// zero, so any Parallel value must silently run the lockstep reference and
-// reproduce it exactly.
+// fallback: with the request-lifecycle manager armed no window is safe, so
+// any Parallel value must run the lockstep reference and reproduce it
+// exactly — even for round-robin, which would otherwise pre-shard.
 func TestParallelResilienceFallsBackToLockstep(t *testing.T) {
 	tr := testTrace(t, 40000, 61)
 	mkRC := func(parallel int) RunConfig {
-		rc := testRunConfig(3, NewJSQ())
+		rc := testRunConfig(3, NewRoundRobin())
 		rc.Resilience = resilienceSpec()
 		rc.Parallel = parallel
 		return rc

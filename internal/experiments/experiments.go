@@ -50,7 +50,8 @@ type Options struct {
 	// worker count.
 	Workers int
 	// ParWindow runs each cluster simulation's node engines in parallel-in-
-	// time windows on this many workers (0 = the lockstep reference). Output
+	// time windows on this many workers (0 = the lockstep reference); cells
+	// with load-aware dispatch or resilience run lockstep regardless. Output
 	// is byte-identical either way; it parallelizes inside one cell, where
 	// Workers parallelizes across cells.
 	ParWindow int

@@ -83,10 +83,10 @@ func (c *Config) TransferTime(bytes int64) sim.Time {
 // link: the minimum delay between issuing a transfer command and the engine
 // observing any effect of it, i.e. the transfer time of the smallest
 // non-empty command (issue latency + one burst's overhead + its wire time).
-// No dispatched request can touch a device behind this link sooner, which
-// makes the floor a provable scheduling lookahead for fleet drivers (the
-// cluster layer runs node engines this far past an arrival before its
-// placement must land).
+// No dispatched request can touch a device behind this link sooner, so the
+// floor is the admission latency of every fleet placement: the cluster layer
+// lands each admission this far after its dispatch decision, in either
+// executor.
 func (c *Config) DispatchFloor() sim.Time {
 	return c.TransferTime(1)
 }

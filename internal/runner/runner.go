@@ -74,11 +74,12 @@ type Pool struct {
 
 const (
 	// spinFor bounds how long an idle helper polls for the next batch
-	// before parking. It exceeds the serial phase between two cluster
-	// windows (the micro-merge and the next window's set-up), so
-	// steady-state batches rarely pay a wake-up, yet an idle pool parks
-	// within a fraction of a millisecond. A 15 µs bound measurably parked
-	// between jsq lookahead windows on a 2-CPU Xeon.
+	// before parking. It exceeds the serial phase between back-to-back
+	// cluster fan-outs (a window's merge and the next window's set-up, or
+	// the drain check between a final window's passes), so those batches
+	// rarely pay a wake-up, yet an idle pool parks within a fraction of a
+	// millisecond. A 15 µs bound measurably parked between short cluster
+	// windows (tens of microseconds of node work each) on a 2-CPU Xeon.
 	spinFor = 50 * time.Microsecond
 	// spinCheck is the number of polls between clock reads and yields.
 	spinCheck = 32

@@ -177,44 +177,8 @@ func (e *Engine) AfterFunc(d Time, fn Func, p any, x int64) EventID {
 	return e.AtFunc(e.now+d, fn, p, x)
 }
 
-// ReserveSeq allocates and returns the next schedule-sequence slot without
-// scheduling an event. Same-time events fire in slot order, so a reserved
-// slot captures "the position an event scheduled right now would get" —
-// deterministic replay drivers (the cluster layer's parallel windows) reserve
-// slots before running an engine ahead, then spend them with AtSeqFunc so a
-// late insertion still ties exactly as if it had been scheduled on time. An
-// unspent slot is harmless: it only skips one tie-break value.
-func (e *Engine) ReserveSeq() uint64 {
-	s := e.seq
-	e.seq++
-	return s
-}
-
-// AtSeqFunc schedules fn(p, x) at virtual time t occupying a sequence slot
-// previously returned by ReserveSeq, so that among same-time events it fires
-// in the order the reservation — not this call — established. Like At, t in
-// the past panics; so does an unreserved (future) slot, which could collide
-// with a sequence number the engine has yet to hand out.
-func (e *Engine) AtSeqFunc(t Time, seq uint64, fn Func, p any, x int64) EventID {
-	if fn == nil {
-		panic("sim: scheduling nil callback")
-	}
-	if seq >= e.seq {
-		panic(fmt.Sprintf("sim: AtSeqFunc with unreserved sequence slot %d (next is %d)", seq, e.seq))
-	}
-	return e.scheduleSeq(t, seq, nil, fn, p, x)
-}
-
 // schedule allocates a pooled record for the event and pushes it on the heap.
 func (e *Engine) schedule(t Time, fn func(), tfn Func, p any, x int64) EventID {
-	id := e.scheduleSeq(t, e.seq, fn, tfn, p, x)
-	e.seq++
-	return id
-}
-
-// scheduleSeq is schedule with an explicit sequence slot; it does not advance
-// the engine's sequence counter.
-func (e *Engine) scheduleSeq(t Time, seq uint64, fn func(), tfn Func, p any, x int64) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -227,7 +191,8 @@ func (e *Engine) scheduleSeq(t Time, seq uint64, fn func(), tfn Func, p any, x i
 		idx = int32(len(e.rec) - 1)
 	}
 	r := &e.rec[idx]
-	r.at, r.seq = t, seq
+	r.at, r.seq = t, e.seq
+	e.seq++
 	r.fn, r.tfn, r.p, r.x = fn, tfn, p, x
 	r.state = evPending
 	e.heap = append(e.heap, idx)

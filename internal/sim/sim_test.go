@@ -83,72 +83,6 @@ func TestEngineTiesFireInScheduleOrder(t *testing.T) {
 	}
 }
 
-// TestEngineReservedSeqOrdersTies pins the reserved-slot contract the
-// cluster's lookahead merge rests on: a sequence number reserved early buys
-// its eventual event the tie-break position of the reservation, not of the
-// AtSeqFunc call. Events at one timestamp must fire in reserved order even
-// when scheduled in reverse.
-func TestEngineReservedSeqOrdersTies(t *testing.T) {
-	e := NewEngine()
-	seqs := make([]uint64, 4)
-	for i := range seqs {
-		seqs[i] = e.ReserveSeq()
-	}
-	var order []int64
-	rec := func(_ any, x int64) { order = append(order, x) }
-	for i := len(seqs) - 1; i >= 0; i-- {
-		e.AtSeqFunc(5, seqs[i], rec, nil, int64(i))
-	}
-	// A plainly scheduled tie fires after every reserved slot: its sequence
-	// number postdates the reservations.
-	e.AtFunc(5, rec, nil, 99)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{0, 1, 2, 3, 99}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-// TestEngineReserveSeqInterleavesWithPlainScheduling pins that reserving a
-// slot consumes exactly one position in the global tie-break sequence: a
-// plain event scheduled after the reservation sorts after the reserved
-// event at the same timestamp, and one scheduled before sorts before.
-func TestEngineReserveSeqInterleavesWithPlainScheduling(t *testing.T) {
-	e := NewEngine()
-	var order []int64
-	rec := func(_ any, x int64) { order = append(order, x) }
-	e.AtFunc(7, rec, nil, 1)
-	seq := e.ReserveSeq()
-	e.AtFunc(7, rec, nil, 3)
-	e.AtSeqFunc(7, seq, rec, nil, 2)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order = %v, want [1 2 3]", order)
-	}
-}
-
-// TestEngineAtSeqFuncUnreservedPanics pins the misuse guard: scheduling on a
-// sequence slot that was never handed out by ReserveSeq is a bug, not a
-// silent reordering.
-func TestEngineAtSeqFuncUnreservedPanics(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AtSeqFunc on an unreserved slot did not panic")
-		}
-	}()
-	e.AtSeqFunc(1, 42, func(any, int64) {}, nil, 0)
-}
-
 func TestEngineAfterSchedulesRelative(t *testing.T) {
 	e := NewEngine()
 	var at Time

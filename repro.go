@@ -221,8 +221,9 @@ type Options struct {
 	// inside conservative time windows on this many workers (at most
 	// GOMAXPROCS, the calling goroutine among them), with a deterministic
 	// merge at every window boundary. Results are byte-identical to the
-	// lockstep reference at any value (0 = lockstep); a run with Resilience
-	// armed always uses lockstep.
+	// lockstep reference at any value (0 = lockstep). Windows apply only to
+	// round-robin dispatch with Resilience unset; every other run uses
+	// lockstep, and ClusterResult.Executor reports which one ran.
 	ParWindow int
 	// WarmStart, when positive, has RunCluster first play a warmup stream of
 	// this duration through a throwaway fleet and carry the dispatcher's
