@@ -141,6 +141,90 @@ func TestExecutorSelection(t *testing.T) {
 	}
 }
 
+// TestLookaheadEngages keeps its name from the deleted latency-floor
+// lookahead executor and now pins that nothing but the LoadOblivious marker
+// engages windows: with Parallel set, a dispatcher runs the parallel-window
+// executor iff it declares LoadOblivious, whatever its kind — a Lookahead
+// declaration engages nothing, and round-robin with its marker hidden runs
+// lockstep.
+func TestLookaheadEngages(t *testing.T) {
+	tr := testTrace(t, 40000, 63)
+	for ki, kind := range Kinds() {
+		for _, hidden := range []bool{false, true} {
+			d, err := NewDispatcher(kind, uint64(ki+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hidden {
+				d = plainDispatcher{d}
+			}
+			_, oblivious := d.(LoadOblivious)
+			rc := testRunConfig(3, d)
+			rc.Parallel = 2
+			c, err := New(tr, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ExecutorLockstep
+			if oblivious {
+				want = ExecutorParallelWindow
+			}
+			if got := c.Executor(); got != want {
+				t.Errorf("%s/hidden=%v: executor %q, want %q", kind, hidden, got, want)
+			}
+			if _, aware := d.(Lookahead); aware && c.Executor() != ExecutorLockstep {
+				t.Errorf("%s: a Lookahead declaration engaged %q", kind, c.Executor())
+			}
+		}
+	}
+}
+
+// TestParallelHardSyncMatchesLockstep keeps its name from parLoop's deleted
+// per-arrival hard sync, the path a dispatcher declaring neither
+// LoadOblivious nor Lookahead used to take. Such a dispatcher now runs the
+// lockstep reference whatever Parallel says; wrapped jsq and wrapped
+// round-robin, under kills, must reproduce their Parallel = 0 runs at every
+// worker count.
+func TestParallelHardSyncMatchesLockstep(t *testing.T) {
+	tr := testTrace(t, 40000, 67)
+	for _, kind := range []Kind{KindRoundRobin, KindJSQ} {
+		mkRC := func(parallel int) RunConfig {
+			d, err := NewDispatcher(kind, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc := testRunConfig(3, plainDispatcher{d})
+			rc.Faults = &FaultSpec{KillRate: 1500, Downtime: 300 * sim.Microsecond}
+			rc.Parallel = parallel
+			return rc
+		}
+		ref, err := Run(tr, mkRC(0))
+		if err != nil {
+			t.Fatalf("plain-%s: lockstep: %v", kind, err)
+		}
+		for _, workers := range []int{1, 4} {
+			c, err := New(tr, mkRC(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Executor() != ExecutorLockstep {
+				t.Fatalf("plain-%s: Parallel=%d runs %q", kind, workers, c.Executor())
+			}
+			par, err := c.Run()
+			if err != nil {
+				t.Fatalf("plain-%s: parallel(%d): %v", kind, workers, err)
+			}
+			if !reflect.DeepEqual(ref, par) {
+				t.Errorf("plain-%s: parallel(%d) diverged from lockstep: completed %d/%d end %v/%v",
+					kind, workers, ref.Completed, par.Completed, ref.EndTime, par.EndTime)
+			}
+		}
+	}
+}
+
+// plainDispatcher hides every optional interface of the dispatcher it wraps.
+type plainDispatcher struct{ Dispatcher }
+
 // TestLookaheadMemoryPressureMatchesLockstep pins Parallel runs through the
 // memory ledger's hardest regime: a heterogeneous scarce-HBM fleet where
 // placements block (or swap) on device memory. Round-robin runs it as
